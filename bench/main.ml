@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --quick ...  -- shorter timing windows
 
    Experiments: counts accuracy fig8 fig9 fig10 fig11 exponent-range
-                ablation-layout ablation-sched ablations application bechamel
+                ablation-layout ablations application bechamel
 
    Absolute numbers are OCaml-on-one-core, not Zen 5/M3 silicon; the
    claims under reproduction are the RATIOS and RANKINGS (who wins, by
@@ -114,10 +114,8 @@ let bench_cell_scalar (module N : Blas.Numeric.S) spec kernel =
       let c = Array.make (n * n) N.zero in
       gops ~ops:(n * n * n) (fun () -> K.gemm ~m:n ~n ~k:n ~a ~b ~c)
 
-(* The production parallel substrate for the planar rows: one shared
-   work-stealing scheduler (lib/runtime), sized to the machine.  The
-   legacy Parallel.Pool path survives as the [ablation-sched]
-   baseline. *)
+(* The parallel substrate for the planar rows: one shared
+   work-stealing scheduler (lib/runtime), sized to the machine. *)
 let sched = lazy (Runtime.Sched.create ())
 
 let sched_rt () = Lazy.force sched
@@ -311,7 +309,7 @@ let kernel_n spec = function
   | Gemv -> spec.mv_n
   | Gemm -> spec.mm_n
 
-module Json_out = Check.Json_out
+module Json_out = Obs.Json_out
 
 let json_of_tables tables =
   Json_out.List
@@ -482,68 +480,6 @@ let ablation_layout () =
   print_endline "(the planar path wins twice: no boxed-record pointer chase, and the";
   print_endline " hand-inlined plane loops replace one non-inlined closure call per";
   print_endline " element-op — which is why even the 53-bit row speeds up)"
-
-(* Scheduler ablation: the work-stealing tiled runtime GEMM against
-   the legacy row-parallel Parallel.Pool path and the sequential
-   batched kernel, at matched domain counts, with bitwise-equality
-   checks across every configuration (all three reproduce the
-   sequential accumulation order). *)
-let ablation_sched () =
-  print_endline "\n=== Ablation: work-stealing tiled runtime vs legacy domain pool (103-bit GEMM) ===";
-  let n = if !min_time < 0.2 then 96 else 256 in
-  let reps = if !min_time < 0.2 then 2 else 3 in
-  let module K = Blas.Kernels.Make_batched (Blas.Instances.Mf2) in
-  let a = K.vec_of_floats (random_floats (n * n)) in
-  let b = K.vec_of_floats (random_floats (n * n)) in
-  let time_gemm f =
-    (* fresh C per rep (GEMM accumulates); one untimed warmup, then
-       report the best wall clock *)
-    f (K.V.create (n * n));
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to reps do
-      let c = K.V.create (n * n) in
-      let t0 = now_s () in
-      f c;
-      let dt = now_s () -. t0 in
-      if dt < !best then best := dt;
-      result := Some (K.vec_to_floats c)
-    done;
-    (!best, Option.get !result)
-  in
-  let gops_of dt = Float.of_int (n * n * n) /. dt *. 1e-9 in
-  let t_seq, ref_c = time_gemm (fun c -> K.gemm ~m:n ~n ~k:n ~a ~b ~c) in
-  Printf.printf "  n = %d, %d reps, best wall clock per configuration\n" n reps;
-  Printf.printf "  %-34s %10s %10s %9s %8s\n" "configuration" "wall (s)" "Gop/s" "vs seq" "bitwise";
-  Printf.printf "  %-34s %10.4f %10.4f %9s %8s\n" "sequential batched kernel" t_seq (gops_of t_seq)
-    "1.00x" "ref";
-  let check c = if c = ref_c then "yes" else "NO!" in
-  List.iter
-    (fun d ->
-      let t_pool, c_pool =
-        Parallel.Pool.with_pool ~domains:d (fun pool ->
-            time_gemm (fun c -> K.gemm_pool pool ~m:n ~n ~k:n ~a ~b ~c))
-      in
-      Printf.printf "  %-34s %10.4f %10.4f %8.2fx %8s\n"
-        (Printf.sprintf "pool (row-parallel), %d domains" d)
-        t_pool (gops_of t_pool) (t_seq /. t_pool) (check c_pool);
-      let (t_rt, c_rt), steals =
-        Runtime.Sched.with_sched ~workers:d (fun rt ->
-            Runtime.Sched.reset_stats rt;
-            let r = time_gemm (fun c -> K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ()) in
-            let steals =
-              Array.fold_left
-                (fun acc s -> acc + s.Runtime.Sched.steals)
-                0 (Runtime.Sched.stats rt)
-            in
-            (r, steals))
-      in
-      Printf.printf "  %-34s %10.4f %10.4f %8.2fx %8s   (%d steals over %d reps)\n"
-        (Printf.sprintf "runtime (tiled, stealing), %d workers" d)
-        t_rt (gops_of t_rt) (t_seq /. t_rt) (check c_rt) steals reps)
-    [ 1; 2; 4 ];
-  print_endline "  (all configurations must agree bitwise: the tile decomposition never";
-  print_endline "   splits the k accumulation, so parallelism cannot change a single bit)"
 
 (* ------------------------------------------------------------------ *)
 (* Structural counts (Section 4 claims; Figures 2-7 parameters)        *)
@@ -941,7 +877,7 @@ let () =
   let selected =
     if args = [] then
       [ "counts"; "accuracy"; "fig9"; "fig8"; "fig10"; "fig11"; "exponent-range";
-        "ablation-layout"; "ablation-sched"; "ablations"; "application"; "bechamel" ]
+        "ablation-layout"; "ablations"; "application"; "bechamel" ]
     else args
   in
   let want x = List.mem x selected in
@@ -964,7 +900,6 @@ let () =
     fig11_results;
   if want "exponent-range" then exponent_range ();
   if want "ablation-layout" then ablation_layout ();
-  if want "ablation-sched" then ablation_sched ();
   if want "ablations" then ablations ();
   if want "application" then application ();
   if want "bechamel" then bechamel_suite ();

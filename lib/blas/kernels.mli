@@ -12,10 +12,11 @@
     paper uses): AXPY and DOT over vectors of size [n] perform [n]
     operations, GEMV [n^2], GEMM [n^3].
 
-    Each kernel has a sequential form and a [~pool] form partitioned
-    over rows (thread-per-core, mirroring the paper's OpenMP setup).
-    Reductions combine chunk partials in index order, so results do not
-    depend on the number of domains. *)
+    Each kernel has a sequential form; the planar {!Make_batched}
+    kernels add a [_rt] form on the work-stealing scheduler
+    ({!Runtime.Sched}), the OCaml analogue of the paper's
+    thread-per-core OpenMP setup.  Results do not depend on the
+    number of workers. *)
 
 module Make (N : Numeric.S) : sig
   val axpy : alpha:N.t -> x:N.t array -> y:N.t array -> unit
@@ -29,13 +30,6 @@ module Make (N : Numeric.S) : sig
   val gemm : m:int -> n:int -> k:int -> a:N.t array -> b:N.t array -> c:N.t array -> unit
   (** [C <- C + A B] with [A : m*k], [B : k*n], [C : m*n], ikj order. *)
 
-  val axpy_pool : Parallel.Pool.t -> alpha:N.t -> x:N.t array -> y:N.t array -> unit
-  val dot_pool : Parallel.Pool.t -> x:N.t array -> y:N.t array -> N.t
-  val gemv_pool : Parallel.Pool.t -> m:int -> n:int -> a:N.t array -> x:N.t array -> y:N.t array -> unit
-
-  val gemm_pool :
-    Parallel.Pool.t -> m:int -> n:int -> k:int -> a:N.t array -> b:N.t array -> c:N.t array -> unit
-
   val vec_of_floats : float array -> N.t array
   val vec_to_floats : N.t array -> float array
 end
@@ -45,9 +39,7 @@ end
 
     Identical per-element arithmetic and accumulation orders to
     {!Make}, so sequential results are bitwise equal to the scalar
-    path, and the pooled variants reproduce the scalar pooled
-    chunking/combination order bit-for-bit (asserted by
-    [test/test_batch.ml]).  What changes is the data layout: one
+    path (asserted by [test/test_batch.ml]).  What changes is the data layout: one
     unboxed [floatarray] per expansion component instead of an array of
     boxed records, which removes the per-element pointer chase and heap
     allocation — the OCaml analogue of the paper's cross-element SIMD
@@ -76,22 +68,14 @@ module Make_batched (N : Numeric.BATCHED) : sig
       row's dot accumulator; bitwise equal to {!gemv} followed by an
       elementwise subtract. *)
 
-  val axpy_pool : Parallel.Pool.t -> alpha:N.t -> x:V.t -> y:V.t -> unit
-  val dot_pool : Parallel.Pool.t -> x:V.t -> y:V.t -> N.t
-  val gemv_pool : Parallel.Pool.t -> m:int -> n:int -> a:V.t -> x:V.t -> y:V.t -> unit
-
-  val gemm_pool :
-    Parallel.Pool.t -> m:int -> n:int -> k:int -> a:V.t -> b:V.t -> c:V.t -> unit
-
   (** {2 Runtime variants}
 
-      The production parallel path: the work-stealing scheduler and
+      The parallel path: the work-stealing scheduler and
       tiled engine of {!Runtime}.  AXPY/GEMV/GEMM are bitwise equal to
       the sequential kernels above at any worker count and tile size;
       DOT uses the engine's fixed-shape reduction tree (deterministic
       across worker counts, though grouped differently from the
-      sequential fold).  The [_pool] variants above remain as the
-      ablation baseline (bench mode [ablation-sched]). *)
+      sequential fold). *)
 
   val axpy_rt : Runtime.Sched.t -> alpha:N.t -> x:V.t -> y:V.t -> unit
   val dot_rt : Runtime.Sched.t -> x:V.t -> y:V.t -> N.t

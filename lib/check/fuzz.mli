@@ -47,5 +47,5 @@ val self_test : unit -> (Differ.finding * float array array * int, string) resul
     nonzero terms.  Returns the finding, the shrunk inputs, and the
     term count — or a diagnostic if the harness failed to catch it. *)
 
-val to_json : report -> Json_out.t
+val to_json : report -> Obs.Json_out.t
 val write_report : string -> report -> unit

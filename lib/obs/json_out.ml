@@ -2,9 +2,8 @@
    (BENCH_*.json, CHECK_report.json, TRACE_*.json).  No dependencies;
    pretty-printed so the files diff cleanly across runs.
 
-   Lived in lib/check until the observability layer needed JSON below
-   lib/check in the dependency order (lib/runtime depends on lib/obs);
-   Check.Json_out remains as an alias.
+   Lives in lib/obs, below every layer that emits JSON (lib/runtime
+   and lib/check both depend on it).
 
    Numbers are emitted with the shortest decimal representation that
    round-trips to the same double ([parse (to_string (Num f))] is

@@ -62,22 +62,23 @@ let bench_fig =
         );
       Opt ("sched", fig_sched_block) ]
 
-(* --- BENCH_sched.json (fpan-bench-sched/1) -------------------------- *)
+(* --- BENCH_sched.json (fpan-bench-sched/2) -------------------------- *)
 
+(* Walls are medians over the reps; [window_wall_s] is the sum of the
+   rep walls, the window the [telemetry] counters cover. *)
 let sched_curve_row =
   Obj
     [ Req ("workers", Int);
       Req ("runtime_wall_s", Num);
       Req ("runtime_gops", Num);
       Req ("speedup_vs_seq", Num);
-      Req ("pool_wall_s", Num);
-      Req ("pool_gops", Num);
+      Req ("window_wall_s", Num);
       Req ("bitwise_equal_seq", Bool);
       Req ("telemetry", List worker_row) ]
 
 let bench_sched =
   Obj
-    [ Req ("schema", Str_const "fpan-bench-sched/1");
+    [ Req ("schema", Str_const "fpan-bench-sched/2");
       Req ("kernel", Str);
       Req ("bits", Int);
       Req ("n", Int);
@@ -270,7 +271,6 @@ let serve_sla_stats =
 let serve_stats =
   Obj
     [ Req ("schema", Str_const "fpan-serve/4");
-      Req ("backend", Str);
       Req ("accepted", Int);
       Req ("adopted_conns", Int);
       Req ("open_conns", Int);

@@ -301,7 +301,11 @@ let run rt f =
       let tr = Obs.Trace.enabled () in
       if tr then Obs.Trace.begin_span Obs.Trace.Sched "sched.run";
       let t0 = now () in
+      (* the root counts as a top-level task: tasks its joins help
+         through run inside this timed span, not in spans of their own *)
+      w.depth <- 1;
       let result = try Ok (f ()) with e -> Error e in
+      w.depth <- 0;
       w.tasks <- w.tasks + 1;
       w.busy_s <- w.busy_s +. (now () -. t0);
       if tr then Obs.Trace.end_span ();

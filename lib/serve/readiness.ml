@@ -1,8 +1,8 @@
-(* Readiness: poll(2) behind a small capability interface, with a
-   select fallback.  The poll backend keeps the registration set in
-   three parallel int arrays (fds, interest masks, revents out) that
-   are handed to the C stub as-is, so a wait is one stub call and no
-   per-call allocation beyond the event list it returns.  Slots are
+(* Readiness: poll(2) behind a small capability interface.  The
+   registration set lives in three parallel int arrays (fds, interest
+   masks, revents out) that are handed to the C stub as-is, so a wait
+   is one stub call and no per-call allocation beyond the event list
+   it returns.  Slots are
    kept dense by swap-removal; a Hashtbl maps fd -> slot. *)
 
 external poll_stub :
@@ -18,8 +18,6 @@ let bit_in, bit_out, bit_err, bit_hup, bit_nval, _bit_pri = poll_bits ()
 let int_of_fd : Unix.file_descr -> int = Obj.magic
 let fd_of_int : int -> Unix.file_descr = Obj.magic
 
-type backend = Poll | Select
-
 type event = {
   fd : Unix.file_descr;
   readable : bool;
@@ -28,7 +26,7 @@ type event = {
   error : bool;
 }
 
-type poll_state = {
+type t = {
   mutable fds : int array;
   mutable events : int array;
   mutable revents : int array;
@@ -36,128 +34,61 @@ type poll_state = {
   slots : (int, int) Hashtbl.t;  (* fd -> index below n *)
 }
 
-type select_state = {
-  mutable reads : Unix.file_descr list;
-  mutable writes : Unix.file_descr list;
-  members : (int, bool * bool) Hashtbl.t;  (* fd -> (read, write) *)
-}
-
-type t = P of poll_state | S of select_state
-
-(* select fails with EINVAL (poisoning the whole loop) for any fd
-   value at or above FD_SETSIZE; refuse at registration instead. *)
-let select_ceiling = 1024
-
-let create ?backend () =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> (
-        match Sys.getenv_opt "FPAN_READINESS" with
-        | Some "select" -> Select
-        | _ -> Poll)
-  in
-  match backend with
-  | Poll ->
-      P
-        {
-          fds = Array.make 64 (-1);
-          events = Array.make 64 0;
-          revents = Array.make 64 0;
-          n = 0;
-          slots = Hashtbl.create 64;
-        }
-  | Select -> S { reads = []; writes = []; members = Hashtbl.create 64 }
-
-let backend = function P _ -> Poll | S _ -> Select
-let backend_name t = match t with P _ -> "poll" | S _ -> "select"
+let create () =
+  {
+    fds = Array.make 64 (-1);
+    events = Array.make 64 0;
+    revents = Array.make 64 0;
+    n = 0;
+    slots = Hashtbl.create 64;
+  }
 
 let interest ~read ~write =
   (if read then bit_in else 0) lor if write then bit_out else 0
 
-let grow p =
-  let cap = Array.length p.fds in
-  if p.n >= cap then begin
+let grow t =
+  let cap = Array.length t.fds in
+  if t.n >= cap then begin
     let cap' = 2 * cap in
     let copy src mk = Array.init cap' (fun i -> if i < cap then src.(i) else mk) in
-    p.fds <- copy p.fds (-1);
-    p.events <- copy p.events 0;
-    p.revents <- copy p.revents 0
+    t.fds <- copy t.fds (-1);
+    t.events <- copy t.events 0;
+    t.revents <- copy t.revents 0
   end
 
 let add t fd ~read ~write =
-  match t with
-  | P p ->
-      let k = int_of_fd fd in
-      if Hashtbl.mem p.slots k then
-        invalid_arg "Serve.Readiness.add: descriptor already registered";
-      grow p;
-      p.fds.(p.n) <- k;
-      p.events.(p.n) <- interest ~read ~write;
-      Hashtbl.replace p.slots k p.n;
-      p.n <- p.n + 1
-  | S s ->
-      let k = int_of_fd fd in
-      if Hashtbl.mem s.members k then
-        invalid_arg "Serve.Readiness.add: descriptor already registered";
-      if k >= select_ceiling then
-        invalid_arg
-          (Printf.sprintf
-             "Serve.Readiness.add: fd %d is beyond the select backend's FD_SETSIZE \
-              ceiling (%d); use the poll backend"
-             k select_ceiling);
-      Hashtbl.replace s.members k (read, write);
-      if read then s.reads <- fd :: s.reads;
-      if write then s.writes <- fd :: s.writes
+  let k = int_of_fd fd in
+  if Hashtbl.mem t.slots k then
+    invalid_arg "Serve.Readiness.add: descriptor already registered";
+  grow t;
+  t.fds.(t.n) <- k;
+  t.events.(t.n) <- interest ~read ~write;
+  Hashtbl.replace t.slots k t.n;
+  t.n <- t.n + 1
 
 let modify t fd ~read ~write =
-  match t with
-  | P p -> (
-      let k = int_of_fd fd in
-      match Hashtbl.find_opt p.slots k with
-      | None -> invalid_arg "Serve.Readiness.modify: descriptor not registered"
-      | Some i -> p.events.(i) <- interest ~read ~write)
-  | S s ->
-      let k = int_of_fd fd in
-      if not (Hashtbl.mem s.members k) then
-        invalid_arg "Serve.Readiness.modify: descriptor not registered";
-      Hashtbl.replace s.members k (read, write);
-      s.reads <- List.filter (fun f -> f <> fd) s.reads;
-      s.writes <- List.filter (fun f -> f <> fd) s.writes;
-      if read then s.reads <- fd :: s.reads;
-      if write then s.writes <- fd :: s.writes
+  match Hashtbl.find_opt t.slots (int_of_fd fd) with
+  | None -> invalid_arg "Serve.Readiness.modify: descriptor not registered"
+  | Some i -> t.events.(i) <- interest ~read ~write
 
 let remove t fd =
-  match t with
-  | P p -> (
-      let k = int_of_fd fd in
-      match Hashtbl.find_opt p.slots k with
-      | None -> ()
-      | Some i ->
-          let last = p.n - 1 in
-          Hashtbl.remove p.slots k;
-          if i < last then begin
-            p.fds.(i) <- p.fds.(last);
-            p.events.(i) <- p.events.(last);
-            Hashtbl.replace p.slots p.fds.(i) i
-          end;
-          p.fds.(last) <- -1;
-          p.events.(last) <- 0;
-          p.n <- last)
-  | S s ->
-      let k = int_of_fd fd in
-      if Hashtbl.mem s.members k then begin
-        Hashtbl.remove s.members k;
-        s.reads <- List.filter (fun f -> f <> fd) s.reads;
-        s.writes <- List.filter (fun f -> f <> fd) s.writes
-      end
+  let k = int_of_fd fd in
+  match Hashtbl.find_opt t.slots k with
+  | None -> ()
+  | Some i ->
+      let last = t.n - 1 in
+      Hashtbl.remove t.slots k;
+      if i < last then begin
+        t.fds.(i) <- t.fds.(last);
+        t.events.(i) <- t.events.(last);
+        Hashtbl.replace t.slots t.fds.(i) i
+      end;
+      t.fds.(last) <- -1;
+      t.events.(last) <- 0;
+      t.n <- last
 
-let mem t fd =
-  match t with
-  | P p -> Hashtbl.mem p.slots (int_of_fd fd)
-  | S s -> Hashtbl.mem s.members (int_of_fd fd)
-
-let registered t = match t with P p -> p.n | S s -> Hashtbl.length s.members
+let mem t fd = Hashtbl.mem t.slots (int_of_fd fd)
+let registered t = t.n
 
 let event_of_mask fd mask =
   {
@@ -175,36 +106,16 @@ let wait t ~timeout_ms =
   match Chaos.Injector.wait_fault () with
   | Chaos.Fault.Spurious_wake | Chaos.Fault.Eintr -> []
   | _ -> (
-  match t with
-  | P p -> (
-      match poll_stub p.fds p.events p.revents p.n timeout_ms with
+      match poll_stub t.fds t.events t.revents t.n timeout_ms with
       | 0 -> []
       | _ ->
           let out = ref [] in
-          for i = p.n - 1 downto 0 do
-            let mask = p.revents.(i) in
-            if mask <> 0 then out := event_of_mask (fd_of_int p.fds.(i)) mask :: !out
+          for i = t.n - 1 downto 0 do
+            let mask = t.revents.(i) in
+            if mask <> 0 then out := event_of_mask (fd_of_int t.fds.(i)) mask :: !out
           done;
           !out
       | exception Unix.Unix_error (EINTR, _, _) -> [])
-  | S s -> (
-      let timeout = if timeout_ms < 0 then -1.0 else float_of_int timeout_ms *. 1e-3 in
-      match Unix.select s.reads s.writes [] timeout with
-      | rd, wr, _ ->
-          let tbl = Hashtbl.create 16 in
-          List.iter (fun fd -> Hashtbl.replace tbl (int_of_fd fd) (true, false)) rd;
-          List.iter
-            (fun fd ->
-              let k = int_of_fd fd in
-              let r, _ = try Hashtbl.find tbl k with Not_found -> (false, false) in
-              Hashtbl.replace tbl k (r, true))
-            wr;
-          Hashtbl.fold
-            (fun k (readable, writable) acc ->
-              { fd = fd_of_int k; readable; writable; hangup = false; error = false }
-              :: acc)
-            tbl []
-      | exception Unix.Unix_error (EINTR, _, _) -> []))
 
 (* --- single-descriptor helpers -------------------------------------- *)
 

@@ -1,14 +1,10 @@
 (** Readiness abstraction for the serving layer's event loops.
 
-    A small capability interface over the platform's readiness
-    primitive.  The default backend is [poll(2)] (via a C stub that
+    A small capability interface over [poll(2)] (via a C stub that
     releases the runtime lock while sleeping), which has no
     [FD_SETSIZE] ceiling: descriptors with values far above 1024
     register and wait like any other, so one server process can hold
-    thousands of connections.  A [Unix.select] backend is kept for
-    comparison and as the portability fallback — it inherits select's
-    hard cap and {!add} raises [Invalid_argument] past it, which is
-    exactly the bug class the poll backend exists to remove.
+    thousands of connections.
 
     The registration set is edge-agnostic level-triggered dispatch:
     {!wait} reports every registered descriptor currently ready, and
@@ -17,15 +13,7 @@
 
 type t
 
-type backend = Poll | Select
-
-val create : ?backend:backend -> unit -> t
-(** Default backend: [Poll], unless [FPAN_READINESS=select] is set in
-    the environment (observability escape hatch, used by tests to pin
-    a backend). *)
-
-val backend : t -> backend
-val backend_name : t -> string
+val create : unit -> t
 
 type event = {
   fd : Unix.file_descr;
@@ -36,9 +24,7 @@ type event = {
 }
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Register a descriptor.  [Invalid_argument] if already registered,
-    or (select backend only) if the descriptor value is at or above
-    the select ceiling. *)
+(** Register a descriptor.  [Invalid_argument] if already registered. *)
 
 val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 (** Change the interest set of a registered descriptor.
@@ -61,9 +47,9 @@ val wait : t -> timeout_ms:int -> event list
 
 val poll1 : Unix.file_descr -> read:bool -> write:bool -> timeout_ms:int -> event option
 (** One-shot readiness wait on one descriptor; [None] on timeout or
-    [EINTR].  Works on descriptors above the select ceiling — the
-    serving layer uses it everywhere it previously leaned on
-    single-descriptor [Unix.select] (write-stall waits, doorbells). *)
+    [EINTR].  Works on descriptors of any value — the serving layer
+    uses it for every single-descriptor wait (write stalls,
+    doorbells). *)
 
 val wait_readable : Unix.file_descr -> timeout_ms:int -> bool
 val wait_writable : Unix.file_descr -> timeout_ms:int -> bool

@@ -63,7 +63,6 @@ type t = {
   stopping : bool Atomic.t;
   io_exit : bool Atomic.t;
   mutable io_domain : unit Domain.t option;
-  mutable backend_name : string;  (* io domain writes once at startup *)
 }
 
 let accepted_ctr = Obs.Metrics.counter "serve.accepted"
@@ -233,7 +232,6 @@ let stats_doc t =
   let num n = J.Num (float_of_int n) in
   J.Obj
     [ ("schema", J.Str "fpan-serve/4");
-      ("backend", J.Str t.backend_name);
       ("accepted", num accepted);
       ("adopted_conns", num adopted);
       ("open_conns", num (Atomic.get t.conn_count));
@@ -518,7 +516,6 @@ let sweep_dying t rd =
 
 let io_loop t =
   let rd = Readiness.create () in
-  t.backend_name <- Readiness.backend_name rd;
   let buf = Bytes.create 65536 in
   Readiness.add rd t.wake_r ~read:true ~write:false;
   (match t.source with
@@ -650,7 +647,6 @@ let make ~sched ~source ?(queue_capacity = 64) ?(max_batch = 32) ?(window_us = 2
       stopping = Atomic.make false;
       io_exit = Atomic.make false;
       io_domain = None;
-      backend_name = "poll";
     }
   in
   (* the batcher can only have replies to flush once the io domain

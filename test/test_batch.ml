@@ -7,7 +7,7 @@
    raw bits of every expansion component, over random inputs and over
    the adversarial structures that break naive networks (massive
    cancellation, ulp-adjacent values, powers of two, nonoverlapping
-   expansions with extreme gaps), sequential and pooled. *)
+   expansions with extreme gaps), sequential and on the scheduler. *)
 
 let rng = Random.State.make [| 0xba7c; 11 |]
 
@@ -137,44 +137,44 @@ module CheckB (N : INSTANCE) = struct
     check_kernels "cancel" xs (cancelling_against xs);
     check_kernels "adversarial" (adversarial_elts 48) (adversarial_elts 48)
 
-  (* --- kernel equality, pooled: batched pooled must reproduce the
-     scalar pooled results bit-for-bit (same chunk partition, same
-     index-order combination), and the disjoint-write kernels must also
-     match their own sequential forms --- *)
+  (* --- kernel equality, parallel: the runtime kernels on a 3-worker
+     scheduler must reproduce the scalar sequential results bit-for-bit
+     (AXPY/GEMV/GEMM keep the sequential accumulation order at any
+     worker count); DOT reduces over a fixed tree instead, so it must
+     match its own 1-worker result --- *)
 
-  let test_pool () =
-    Parallel.Pool.with_pool ~domains:3 (fun pool ->
-        List.iter
-          (fun (what, xs, ys) ->
-            let n = Array.length xs in
-            let xv = V.of_array xs and yv = V.of_array ys in
-            let ds = Ks.dot_pool pool ~x:xs ~y:ys in
-            let db = Kb.dot_pool pool ~x:xv ~y:yv in
-            if not (eq_t ds db) then Alcotest.failf "%s %s pool dot differs" N.name what;
-            let alpha = adversarial_elt 0 in
-            let y1 = Array.copy ys and y2 = V.of_array ys in
-            Ks.axpy_pool pool ~alpha ~x:xs ~y:y1;
-            Kb.axpy_pool pool ~alpha ~x:xv ~y:y2;
-            check_vec (what ^ " pool axpy") y1 y2;
-            let m = 6 in
-            let nn = n / m in
-            let am = Array.sub xs 0 (m * nn) in
-            let ys1 = Array.make m N.zero and ys2 = V.create m in
-            Ks.gemv_pool pool ~m ~n:nn ~a:am ~x:(Array.sub ys 0 nn) ~y:ys1;
-            Kb.gemv_pool pool ~m ~n:nn ~a:(V.of_array am) ~x:(V.of_array (Array.sub ys 0 nn))
-              ~y:ys2;
-            check_vec (what ^ " pool gemv") ys1 ys2;
-            let m, k, nn = (4, 5, 3) in
-            let a = Array.sub xs 0 (m * k) and b = Array.sub ys 0 (k * nn) in
-            let c1 = Array.make (m * nn) N.zero in
-            let c2 = V.of_array c1 in
-            Ks.gemm_pool pool ~m ~n:nn ~k ~a ~b ~c:c1;
-            Kb.gemm_pool pool ~m ~n:nn ~k ~a:(V.of_array a) ~b:(V.of_array b) ~c:c2;
-            check_vec (what ^ " pool gemm") c1 c2)
-          (let xs = random_elts 64 in
-           [ ("random", xs, random_elts 64);
-             ("cancel", xs, cancelling_against xs);
-             ("adversarial", adversarial_elts 64, adversarial_elts 64) ]))
+  let test_runtime_kernels () =
+    Runtime.Sched.with_sched ~workers:1 (fun rt1 ->
+        Runtime.Sched.with_sched ~workers:3 (fun rt ->
+            List.iter
+              (fun (what, xs, ys) ->
+                let n = Array.length xs in
+                let xv = V.of_array xs and yv = V.of_array ys in
+                if not (eq_t (Kb.dot_rt rt1 ~x:xv ~y:yv) (Kb.dot_rt rt ~x:xv ~y:yv)) then
+                  Alcotest.failf "%s %s runtime dot depends on the worker count" N.name what;
+                let alpha = adversarial_elt 0 in
+                let y1 = Array.copy ys and y2 = V.of_array ys in
+                Ks.axpy ~alpha ~x:xs ~y:y1;
+                Kb.axpy_rt rt ~alpha ~x:xv ~y:y2;
+                check_vec (what ^ " runtime axpy") y1 y2;
+                let m = 6 in
+                let nn = n / m in
+                let am = Array.sub xs 0 (m * nn) in
+                let ys1 = Array.make m N.zero and ys2 = V.create m in
+                Ks.gemv ~m ~n:nn ~a:am ~x:(Array.sub ys 0 nn) ~y:ys1;
+                Kb.gemv_rt rt ~m ~n:nn ~a:(V.of_array am) ~x:(V.of_array (Array.sub ys 0 nn)) ~y:ys2;
+                check_vec (what ^ " runtime gemv") ys1 ys2;
+                let m, k, nn = (4, 5, 3) in
+                let a = Array.sub xs 0 (m * k) and b = Array.sub ys 0 (k * nn) in
+                let c1 = Array.make (m * nn) N.zero in
+                let c2 = V.of_array c1 in
+                Ks.gemm ~m ~n:nn ~k ~a ~b ~c:c1;
+                Kb.gemm_rt rt ~m ~n:nn ~k ~a:(V.of_array a) ~b:(V.of_array b) ~c:c2 ();
+                check_vec (what ^ " runtime gemm") c1 c2)
+              (let xs = random_elts 64 in
+               [ ("random", xs, random_elts 64);
+                 ("cancel", xs, cancelling_against xs);
+                 ("adversarial", adversarial_elts 64, adversarial_elts 64) ])))
 
   (* --- transpose: index spot-checks against the definition, and
      transpose-twice = identity, across shapes that straddle the 32x32
@@ -411,7 +411,7 @@ module CheckB (N : INSTANCE) = struct
   let cases name =
     [ Alcotest.test_case (name ^ " ops bitwise") `Quick test_ops;
       Alcotest.test_case (name ^ " kernels bitwise") `Quick test_kernels;
-      Alcotest.test_case (name ^ " pooled bitwise") `Quick test_pool;
+      Alcotest.test_case (name ^ " pooled bitwise") `Quick test_runtime_kernels;
       Alcotest.test_case (name ^ " transpose") `Quick test_transpose;
       Alcotest.test_case (name ^ " outputs nonoverlapping") `Quick test_nonoverlap;
       Alcotest.test_case (name ^ " fused kernels bitwise") `Quick test_fused;

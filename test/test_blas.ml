@@ -77,47 +77,49 @@ struct
           Alcotest.failf "%s gemm %d %d" N.name i j
       done
     done
+end
 
-  let run_pool () =
-    Parallel.Pool.with_pool ~domains:3 (fun pool ->
+(* The same kernels in parallel on the scheduler's worker pool: the
+   planar [_rt] kernels against the scalar sequential ones.  AXPY,
+   GEMV and GEMM write disjoint slots in the sequential accumulation
+   order, so they agree bit-for-bit; DOT reduces over a fixed tree
+   rather than the sequential fold, so it only has to agree to
+   precision. *)
+module Check_rt (N : Blas.Numeric.BATCHED) = struct
+  module K = Blas.Kernels.Make (N)
+  module Kb = Blas.Kernels.Make_batched (N)
+
+  let same what a b =
+    Array.iteri
+      (fun i v -> if N.to_float v <> N.to_float (Kb.V.get b i) then Alcotest.failf "%s %s %d" N.name what i)
+      a
+
+  let run () =
+    Runtime.Sched.with_sched ~workers:3 (fun rt ->
         let n = 64 in
         let xf = random_floats n and yf = random_floats n in
         let x = K.vec_of_floats xf and y = K.vec_of_floats yf in
-        (* Pool dot must equal sequential dot bit-for-bit?  No: the
-           chunked combination order differs from the sequential fold,
-           so only require agreement to precision. *)
+        let xv = Kb.vec_of_floats xf and yv = Kb.vec_of_floats yf in
         let d1 = N.to_float (K.dot ~x ~y) in
-        let d2 = N.to_float (K.dot_pool pool ~x ~y) in
+        let d2 = N.to_float (Kb.dot_rt rt ~x:xv ~y:yv) in
         if Float.abs (d1 -. d2) > Float.abs d1 *. Float.ldexp 1.0 (-40) then
-          Alcotest.failf "%s pool dot differs" N.name;
-        (* axpy/gemv/gemm write distinct slots: bitwise equal. *)
-        let y1 = K.vec_of_floats yf and y2 = K.vec_of_floats yf in
+          Alcotest.failf "%s runtime dot differs" N.name;
         let alpha = N.of_float 1.25 in
-        K.axpy ~alpha ~x ~y:y1;
-        K.axpy_pool pool ~alpha ~x ~y:y2;
-        Array.iteri
-          (fun i v ->
-            if N.to_float v <> N.to_float y2.(i) then Alcotest.failf "%s pool axpy %d" N.name i)
-          y1;
+        K.axpy ~alpha ~x ~y;
+        Kb.axpy_rt rt ~alpha ~x:xv ~y:yv;
+        same "runtime axpy" y yv;
         let m = 6 and nn = 8 in
-        let af = random_floats (m * nn) in
-        let a = K.vec_of_floats af in
-        let xv = K.vec_of_floats (random_floats nn) in
-        let ya = Array.make m N.zero and yb = Array.make m N.zero in
-        K.gemv ~m ~n:nn ~a ~x:xv ~y:ya;
-        K.gemv_pool pool ~m ~n:nn ~a ~x:xv ~y:yb;
-        for i = 0 to m - 1 do
-          if N.to_float ya.(i) <> N.to_float yb.(i) then Alcotest.failf "%s pool gemv %d" N.name i
-        done;
+        let af = random_floats (m * nn) and xf = random_floats nn in
+        let ya = Array.make m N.zero and yb = Kb.V.create m in
+        K.gemv ~m ~n:nn ~a:(K.vec_of_floats af) ~x:(K.vec_of_floats xf) ~y:ya;
+        Kb.gemv_rt rt ~m ~n:nn ~a:(Kb.vec_of_floats af) ~x:(Kb.vec_of_floats xf) ~y:yb;
+        same "runtime gemv" ya yb;
         let k = 5 in
         let af = random_floats (m * k) and bf = random_floats (k * nn) in
-        let a = K.vec_of_floats af and b = K.vec_of_floats bf in
-        let c1 = Array.make (m * nn) N.zero and c2 = Array.make (m * nn) N.zero in
-        K.gemm ~m ~n:nn ~k ~a ~b ~c:c1;
-        K.gemm_pool pool ~m ~n:nn ~k ~a ~b ~c:c2;
-        for i = 0 to (m * nn) - 1 do
-          if N.to_float c1.(i) <> N.to_float c2.(i) then Alcotest.failf "%s pool gemm %d" N.name i
-        done)
+        let c1 = Array.make (m * nn) N.zero and c2 = Kb.V.create (m * nn) in
+        K.gemm ~m ~n:nn ~k ~a:(K.vec_of_floats af) ~b:(K.vec_of_floats bf) ~c:c1;
+        Kb.gemm_rt rt ~m ~n:nn ~k ~a:(Kb.vec_of_floats af) ~b:(Kb.vec_of_floats bf) ~c:c2 ();
+        same "runtime gemm" c1 c2)
 end
 
 let instance_case (name, run) = Alcotest.test_case name `Quick run
@@ -151,18 +153,13 @@ let seq_cases =
     mk "gpu4" 18 (module Blas.Instances.Gpu4) ]
 
 let pool_cases =
-  let mk (type a) name (module N : Blas.Numeric.S with type t = a) =
-    let module C = Check (struct
-      include N
-
-      let budget = 40
-    end) in
-    (name, C.run_pool)
+  let mk name (module N : Blas.Numeric.BATCHED) =
+    let module C = Check_rt (N) in
+    (name, C.run)
   in
   [ mk "double-pool" (module Blas.Instances.Double);
     mk "mf2-pool" (module Blas.Instances.Mf2);
-    mk "mf4-pool" (module Blas.Instances.Mf4);
-    mk "fpu103-pool" (module Blas.Instances.Fpu103) ]
+    mk "mf4-pool" (module Blas.Instances.Mf4) ]
 
 let () =
   Alcotest.run "blas"

@@ -23,8 +23,22 @@ let test_bench_figs () =
     (fun f -> validate_file f Obs.Schemas.bench_fig (artifact f))
     [ "BENCH_fig9.json"; "BENCH_fig10.json"; "BENCH_fig11.json" ]
 
+(* Beyond the schema: each curve point's telemetry covers exactly its
+   timed reps, so no worker can have been busy for longer than the
+   window's wall time. *)
 let test_bench_sched () =
-  validate_file "BENCH_sched.json" Obs.Schemas.bench_sched (artifact "BENCH_sched.json")
+  let path = artifact "BENCH_sched.json" in
+  validate_file "BENCH_sched.json" Obs.Schemas.bench_sched path;
+  let doc = J.parse_file path |> Result.get_ok in
+  let num k v = Option.get (Option.bind (J.member k v) J.to_num) in
+  let list k v = Option.get (Option.bind (J.member k v) J.to_list) in
+  List.iter
+    (fun point ->
+      let workers = num "workers" point and window = num "window_wall_s" point in
+      let busy = List.fold_left (fun acc row -> acc +. num "busy_seconds" row) 0.0 (list "telemetry" point) in
+      if busy > workers *. window *. 1.05 then
+        Alcotest.failf "BENCH_sched.json: %g workers busy %.4f s in a %.4f s window" workers busy window)
+    (list "curve" doc)
 
 let test_bench_serve () =
   validate_file "BENCH_serve.json" Obs.Schemas.bench_serve (artifact "BENCH_serve.json")

@@ -203,6 +203,113 @@ let test_sched_shutdown_idempotent () =
   Alcotest.(check bool) "run after shutdown rejected" true raised
 
 (* ------------------------------------------------------------------ *)
+(* Pool contract: the loop-level guarantees of a worker pool, held by
+   the scheduler at its default grain of 1 (one task per index) *)
+
+let sum_leaf lo hi =
+  let acc = ref 0 in
+  for i = lo to hi - 1 do
+    acc := !acc + i
+  done;
+  !acc
+
+let raised_failure f = match f () with () -> None | exception Failure msg -> Some msg
+
+let test_pool_for_covers () =
+  Sched.with_sched ~workers:4 (fun rt ->
+      let hits = Array.make 1000 0 in
+      Sched.parallel_for rt ~lo:0 ~hi:1000 (fun lo _ -> hits.(lo) <- hits.(lo) + 1);
+      Alcotest.(check bool) "each index once" true (Array.for_all (fun h -> h = 1) hits))
+
+let test_pool_empty_range () =
+  Sched.with_sched ~workers:2 (fun rt ->
+      let fired = ref false in
+      Sched.parallel_for rt ~lo:5 ~hi:5 (fun _ _ -> fired := true);
+      Alcotest.(check bool) "empty range" false !fired)
+
+let test_pool_reduce_sum () =
+  Sched.with_sched ~workers:3 (fun rt ->
+      let n = 10_000 in
+      Alcotest.(check int) "gauss" (n * (n - 1) / 2) (Sched.parallel_reduce rt ~lo:0 ~hi:n ~leaf:sum_leaf ( + )))
+
+let test_pool_reduce_deterministic () =
+  let data = Array.init 5000 (fun i -> Float.sin (Float.of_int i)) in
+  let via () =
+    Sched.with_sched ~workers:4 (fun rt ->
+        Sched.parallel_reduce rt ~lo:0 ~hi:5000 ~leaf:(fun lo _ -> data.(lo)) ( +. ))
+  in
+  let a = via () and b = via () in
+  Alcotest.(check bool) "same scheduler size reproducible" true
+    (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let test_pool_reuse () =
+  Sched.with_sched ~workers:2 (fun rt ->
+      for _ = 1 to 50 do
+        let acc = Atomic.make 0 in
+        Sched.parallel_for rt ~lo:0 ~hi:100 (fun _ _ -> Atomic.incr acc);
+        Alcotest.(check int) "reused loop" 100 (Atomic.get acc)
+      done)
+
+let test_pool_single_worker () =
+  Sched.with_sched ~workers:1 (fun rt ->
+      Alcotest.(check int) "size" 1 (Sched.size rt);
+      Alcotest.(check int) "inline" 4950 (Sched.parallel_reduce rt ~lo:0 ~hi:100 ~leaf:sum_leaf ( + )))
+
+let test_pool_exception_in_task () =
+  Sched.with_sched ~workers:3 (fun rt ->
+      Alcotest.(check (option string)) "propagated" (Some "boom")
+        (raised_failure (fun () ->
+             Sched.parallel_for rt ~lo:0 ~hi:100 (fun lo _ -> if lo = 50 then failwith "boom")));
+      Alcotest.(check int) "alive after exception" 45 (Sched.parallel_reduce rt ~lo:0 ~hi:10 ~leaf:sum_leaf ( + )))
+
+(* Only the last leaf raises: it sits in the subtree forked first (the
+   one a thief steals, or the root's join helps through), never in the
+   caller's inline path.  It must still re-raise on the caller, and the
+   scheduler must run another loop afterwards. *)
+let test_pool_exception_in_last_subtree () =
+  Sched.with_sched ~workers:4 (fun rt ->
+      Alcotest.(check (option string)) "last-leaf exception propagated" (Some "w")
+        (raised_failure (fun () ->
+             Sched.parallel_for rt ~lo:0 ~hi:100 (fun lo _ -> if lo = 99 then failwith "w")));
+      let hits = Array.make 100 0 in
+      Sched.parallel_for rt ~lo:0 ~hi:100 (fun lo _ -> hits.(lo) <- hits.(lo) + 1);
+      Alcotest.(check bool) "next loop covers" true (Array.for_all (fun h -> h = 1) hits))
+
+(* A 1-worker scheduler has no thieves: the caller runs every task of
+   the tree itself, through its joins, without deadlocking. *)
+let test_pool_single_worker_drains () =
+  Sched.with_sched ~workers:1 (fun rt ->
+      Sched.reset_stats rt;
+      let hits = Array.make 64 0 in
+      Sched.parallel_for rt ~lo:0 ~hi:64 (fun lo _ -> hits.(lo) <- hits.(lo) + 1);
+      Alcotest.(check bool) "all leaves ran" true (Array.for_all (fun h -> h = 1) hits);
+      let st = (Sched.stats rt).(0) in
+      Alcotest.(check int) "nothing stolen" 0 st.Sched.steals;
+      (* 63 forks + the root *)
+      Alcotest.(check int) "every task on the caller" 64 st.Sched.tasks_executed)
+
+(* Every forked sibling is joined, so one raising leaf leaves the rest
+   of the loop to run to completion before the exception surfaces. *)
+let test_pool_exception_runs_rest () =
+  Sched.with_sched ~workers:1 (fun rt ->
+      let hits = Array.make 6 0 in
+      let raised =
+        raised_failure (fun () ->
+            Sched.parallel_for rt ~lo:0 ~hi:6 (fun lo _ -> if lo = 2 then failwith "mid" else hits.(lo) <- 1))
+      in
+      Alcotest.(check (option string)) "raised" (Some "mid") raised;
+      Alcotest.(check bool) "other tasks still ran" true
+        (List.for_all (fun i -> i = 2 || hits.(i) = 1) [ 0; 1; 2; 3; 4; 5 ]))
+
+let test_pool_large_fanout () =
+  Sched.with_sched ~workers:4 (fun rt ->
+      Alcotest.(check int) "alternating" 0
+        (Sched.parallel_reduce rt ~lo:0 ~hi:100_000 ~leaf:(fun lo _ -> if lo land 1 = 0 then 1 else -1) ( + )))
+
+let test_pool_default_workers () =
+  Sched.with_sched (fun rt -> Alcotest.(check bool) "at least one" true (Sched.size rt >= 1))
+
+(* ------------------------------------------------------------------ *)
 (* Engine: bitwise determinism of the BLAS kernels *)
 
 module N2 = Blas.Instances.Mf2
@@ -320,18 +427,6 @@ let test_engine_dot_deterministic_across_workers () =
     "tree dot close to sequential dot" true
     (Float.abs (reference -. seq) <= 1e-12 *. Float.max 1.0 (Float.abs seq))
 
-let test_engine_matches_pool_path () =
-  (* The runtime GEMM must agree bitwise with the row-parallel pool
-     path too (both reproduce the sequential accumulation order). *)
-  let m = 19 and n = 13 and k = 21 in
-  let a = Gen2.vec (m * k) 12 in
-  let b = Gen2.vec (k * n) 13 in
-  let c_pool = K2.V.create (m * n) in
-  Parallel.Pool.with_pool ~domains:3 (fun pool -> K2.gemm_pool pool ~m ~n ~k ~a ~b ~c:c_pool);
-  let c_rt = K2.V.create (m * n) in
-  Sched.with_sched ~workers:3 (fun rt -> K2.gemm_rt rt ~m ~n ~k ~a ~b ~c:c_rt ());
-  check_bitwise "runtime vs pool gemm" (K2.vec_to_floats c_pool) (K2.vec_to_floats c_rt)
-
 (* ------------------------------------------------------------------ *)
 (* Refinement through the runtime *)
 
@@ -437,6 +532,29 @@ let test_reset_stats_exact_between_runs w =
 let test_reset_stats_1 () = test_reset_stats_exact_between_runs 1
 let test_reset_stats_4 () = test_reset_stats_exact_between_runs 4
 
+(* Busy time is wall time spent executing top-level work, so no worker
+   can be busy for longer than the run lasted: the root's span covers
+   every task its joins help through, and those must not be timed a
+   second time. *)
+let test_busy_within_wall () =
+  let n = 160 in
+  let a = Gen2.vec (n * n) 22 in
+  let b = Gen2.vec (n * n) 23 in
+  List.iter
+    (fun w ->
+      Sched.with_sched ~workers:w (fun rt ->
+          K2.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c:(K2.V.create (n * n)) ();
+          Sched.reset_stats rt;
+          let t0 = Unix.gettimeofday () in
+          K2.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c:(K2.V.create (n * n)) ();
+          let wall = Unix.gettimeofday () -. t0 in
+          let busy = Array.fold_left (fun acc s -> acc +. s.Sched.busy_seconds) 0.0 (Sched.stats rt) in
+          Alcotest.(check bool)
+            (Printf.sprintf "busy %.4f s <= %d x wall %.4f s @%d workers" busy w wall w)
+            true
+            (busy <= Float.of_int w *. wall *. 1.05)))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random shapes stay bitwise equal to the sequential kernel *)
 
@@ -480,19 +598,32 @@ let () =
           Alcotest.test_case "nested run" `Quick test_sched_nested_run;
           Alcotest.test_case "shutdown under load" `Quick test_sched_shutdown_under_load_and_reuse;
           Alcotest.test_case "shutdown idempotent" `Quick test_sched_shutdown_idempotent ] );
+      ( "pool",
+        [ Alcotest.test_case "parallel_for covers" `Quick test_pool_for_covers;
+          Alcotest.test_case "empty range" `Quick test_pool_empty_range;
+          Alcotest.test_case "reduce sum" `Quick test_pool_reduce_sum;
+          Alcotest.test_case "reduce deterministic" `Quick test_pool_reduce_deterministic;
+          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+          Alcotest.test_case "single domain" `Quick test_pool_single_worker;
+          Alcotest.test_case "exception in job" `Quick test_pool_exception_in_task;
+          Alcotest.test_case "exception from worker chunk" `Quick test_pool_exception_in_last_subtree;
+          Alcotest.test_case "run_batch 1-domain drains" `Quick test_pool_single_worker_drains;
+          Alcotest.test_case "run_batch exception runs rest" `Quick test_pool_exception_runs_rest;
+          Alcotest.test_case "large fanout" `Quick test_pool_large_fanout;
+          Alcotest.test_case "default domains" `Quick test_pool_default_workers ] );
       ( "engine",
         [ Alcotest.test_case "gemm bitwise mf2" `Quick test_engine_gemm_bitwise_mf2;
           Alcotest.test_case "gemm accumulates" `Quick test_engine_gemm_accumulates;
           Alcotest.test_case "gemv bitwise mf3" `Quick test_engine_gemv_bitwise_mf3;
           Alcotest.test_case "axpy bitwise mf2" `Quick test_engine_axpy_bitwise_mf2;
-          Alcotest.test_case "dot deterministic" `Quick test_engine_dot_deterministic_across_workers;
-          Alcotest.test_case "runtime vs pool" `Quick test_engine_matches_pool_path ] );
+          Alcotest.test_case "dot deterministic" `Quick test_engine_dot_deterministic_across_workers ] );
       ( "refine",
         [ Alcotest.test_case "refine ?rt bitwise" `Quick test_refine_rt_bitwise ] );
       ( "telemetry",
         [ Alcotest.test_case "flops and tasks" `Quick test_telemetry_flops_and_tasks;
           Alcotest.test_case "reset exact @1 worker" `Quick test_reset_stats_1;
-          Alcotest.test_case "reset exact @4 workers" `Quick test_reset_stats_4 ] );
+          Alcotest.test_case "reset exact @4 workers" `Quick test_reset_stats_4;
+          Alcotest.test_case "busy within wall" `Quick test_busy_within_wall ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest qcheck_gemm_random_shapes;
           QCheck_alcotest.to_alcotest qcheck_dot_worker_invariance ] ) ]
