@@ -1176,6 +1176,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
     canary_checked := !canary_checked + checked;
     canary_bad := !canary_bad + bad
   in
+  let unreconciled = ref [] in
   (* one cell = (max_batch, window) x shard count x connection count *)
   let run_cell (max_batch, window_us) nshards conns =
     let label = Printf.sprintf "b%d-w%g-s%d-c%d" max_batch window_us nshards conns in
@@ -1198,15 +1199,14 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
                 Unix.ADDR_INET (ip, port)
           in
           let res = drive sockaddr in
-          canary sockaddr;
           let stats = Serve.Client.stats probe in
           Serve.Client.close probe;
+          canary sockaddr;
           (res, stats)
       | None when nshards >= 1 ->
           let t = List.assoc (max_batch, window_us, nshards) fleets in
           let sockaddr = Serve.Shard.bound_addr t in
           let res = drive sockaddr in
-          canary sockaddr;
           (* the stats probe reaches one shard — representative, not
              fleet-aggregated *)
           let probe =
@@ -1218,6 +1218,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
           in
           let stats = Serve.Client.stats probe in
           Serve.Client.close probe;
+          canary sockaddr;
           (res, stats)
       | None ->
           Runtime.Sched.with_sched ~workers (fun sched ->
@@ -1227,11 +1228,27 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
                   ~queue_capacity:queue ~max_batch ~window_us ~cache_capacity:cache ()
               in
               let res = drive (Serve.Server.bound_addr srv) in
-              canary (Serve.Server.bound_addr srv);
               let stats = Serve.Server.stats_doc srv in
+              canary (Serve.Server.bound_addr srv);
               Serve.Server.stop srv;
               (res, stats))
     in
+    (* stats are read before the canary, so they cover the driven
+       window only; a fresh in-process server must then account for
+       every ok reply as a batched request or a cache hit *)
+    (if connect = None && nshards < 1 then
+       let count key doc =
+         Option.fold ~none:0 ~some:Float.to_int (Option.bind (J.member key doc) J.to_num)
+       in
+       let batched =
+         Option.value ~default:[] (Option.bind (J.member "batch_histogram" stats) J.to_list)
+         |> List.fold_left (fun acc b -> acc + (count "size" b * count "count" b)) 0
+       in
+       let hits = Option.fold ~none:0 ~some:(count "hits") (J.member "cache" stats) in
+       if batched + hits <> ok then
+         unreconciled :=
+           Printf.sprintf "%s: batched %d + cache hits %d <> ok %d" label batched hits ok
+           :: !unreconciled);
     let throughput = if wall > 0. then Float.of_int ok /. wall else 0. in
     let shed_rate = if sent > 0 then Float.of_int shed /. Float.of_int sent else 0. in
     Printf.printf
@@ -1298,6 +1315,12 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
             ("throughput_rps", J.Num tput) ])
       cells
   in
+  if !unreconciled <> [] then begin
+    List.iter
+      (Printf.eprintf "loadgen: TELEMETRY DOES NOT RECONCILE: %s\n")
+      (List.rev !unreconciled);
+    exit 4
+  end;
   if !canary_bad > 0 then begin
     Printf.eprintf
       "loadgen: BITWISE CANARY FAILED: %d of %d responses differ from the \

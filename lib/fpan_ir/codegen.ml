@@ -1,20 +1,26 @@
 (* Staging by codegen: emit IR programs as straight-line OCaml float
-   code, and assemble lib/multifloat/batch.ml from them.
+   code, and assemble lib/multifloat/batch.ml (planar loops) and
+   lib/multifloat/fpan_scalar.ml (scalar record kernels) from them.
 
    [emit_program] is the per-program emitter; it reproduces the naming
    scheme of the hand-expanded kernels (one monotone counter per
    program, letter by gate kind: TwoSum -> s/t/e, FastTwoSum -> s/e,
    TwoProd -> p/e, Mul -> m, Add -> a, Neg -> n, Const -> c) so the
-   generated file diffs cleanly against history.  [batch_ml] renders
-   the whole file: fixed templates for the module plumbing, emitted
-   programs for every kernel loop body.  The drift rule in
-   lib/multifloat/dune diffs the committed batch.ml against a fresh
+   generated file diffs cleanly against history.  [batch_ml] and
+   [scalar_ml] render the whole files: fixed templates for the module
+   plumbing, emitted programs for every kernel body.  The drift rules
+   in lib/multifloat/dune diff both committed files against a fresh
    run of gen/gen_batch.exe on every `dune runtest`. *)
 
 let spf = Printf.sprintf
 let bpf = Printf.bprintf
 
-let emit_program buf ~indent ~prefix (p : Ir.t) ~(args : string array) : string array =
+(* [~dekker:true] emits every TwoProd as the Veltkamp-Dekker split
+   instead of the FMA form, operation for operation
+   [Eft.two_prod_dekker] (split temporaries take the letters k/h/l;
+   2^27 + 1 is Veltkamp's splitting constant for p = 53). *)
+let emit_program ?(dekker = false) buf ~indent ~prefix (p : Ir.t) ~(args : string array) :
+    string array =
   if Array.length args <> p.Ir.num_inputs then
     invalid_arg
       (spf "Fpan_ir.Codegen.emit_program: %s wants %d args, got %d" p.Ir.name p.Ir.num_inputs
@@ -50,6 +56,26 @@ let emit_program buf ~indent ~prefix (p : Ir.t) ~(args : string array) : string 
           let e = fresh "e" in
           line (spf "let %s = %s -. (%s -. %s) in" e b s a);
           names.(i) <- [| s; e |]
+      | Ir.Two_prod (a, b) when dekker ->
+          let a = v a and b = v b in
+          let pr = fresh "p" in
+          line (spf "let %s = %s *. %s in" pr a b);
+          let split x =
+            let k = fresh "k" in
+            line (spf "let %s = %h *. %s in" k 134217729.0 x);
+            let h = fresh "h" in
+            line (spf "let %s = %s -. (%s -. %s) in" h k k x);
+            let l = fresh "l" in
+            line (spf "let %s = %s -. %s in" l x h);
+            (h, l)
+          in
+          let ah, al = split a in
+          let bh, bl = split b in
+          let e = fresh "e" in
+          line
+            (spf "let %s = ((((%s *. %s) -. %s) +. (%s *. %s)) +. (%s *. %s)) +. (%s *. %s) in" e ah
+               bh pr ah bl al bh al bl);
+          names.(i) <- [| pr; e |]
       | Ir.Two_prod (a, b) ->
           let a = v a and b = v b in
           let pr = fresh "p" in
@@ -753,4 +779,67 @@ let batch_ml () =
       emit_tier buf tr)
     tiers;
   Buffer.add_string buf footer;
+  Buffer.contents buf
+
+(* --- fpan_scalar.ml assembly ----------------------------------------- *)
+
+(* Field names of the expansion records, leading component first. *)
+let fields tr = if tr.t = 2 then [| "hi"; "lo" |] else Array.init tr.t (spf "x%d")
+
+(* "let add (a : t) (b : t) : t = let x0 = a.hi and ... in ... { hi = ..; lo = .. }" *)
+let emit_scalar_fn ?dekker buf tr ~name prog =
+  let f = fields tr in
+  bpf buf "  let %s (a : t) (b : t) : t =\n" name;
+  bpf buf "    let %s in\n"
+    (String.concat " and "
+       (List.concat_map
+          (fun (l, r) -> seq tr.t (fun k -> spf "%s%d = %s.%s" l k r f.(k)))
+          [ ("x", "a"); ("y", "b") ]));
+  let outs =
+    emit_program ?dekker buf ~indent:"    " ~prefix:"" prog
+      ~args:(Array.append (names "x" tr) (names "y" tr))
+  in
+  bpf buf "    { %s }\n" (cat "; " tr.t (fun k -> spf "%s = %s" f.(k) outs.(k)))
+
+let emit_scalar_tier buf tr =
+  bpf buf "module %s = struct\n" tr.mf;
+  bpf buf "  type t = { %s }\n\n" (cat "; " tr.t (fun k -> spf "%s : float" (fields tr).(k)));
+  emit_scalar_fn buf tr ~name:"add" (Front.add_kernel tr.t);
+  bpf buf "\n";
+  emit_scalar_fn buf tr ~name:"sub" (Front.sub_kernel tr.t);
+  bpf buf "\n";
+  emit_scalar_fn buf tr ~name:"mul" (Front.mul_kernel tr.t);
+  bpf buf "\n";
+  emit_scalar_fn ~dekker:true buf tr ~name:"mul_no_fma" (Front.mul_kernel tr.t);
+  bpf buf "end\n"
+
+let scalar_header =
+  {|(* Scalar MultiFloat kernels: the add/sub/mul cores of [Mf2]/[Mf3]/[Mf4]
+   as straight-line float code over expansion records.
+
+   Each function reads its operands' fields, runs one FPAN wire program
+   with every TwoSum/FastTwoSum/TwoProd gate expanded to plain float
+   operations (no tuple returns; the only allocation is the result
+   record), and returns one record.  The programs are the
+   [Fpan_ir.Front] add/sub/mul kernels the planar [Batch] kernels are
+   generated from, so scalar = planar holds by construction, and the
+   wire programs lib/verify proves are the ones that run here.
+   [mul_no_fma] is [mul]'s program with each TwoProd realized by
+   Veltkamp-Dekker splitting: the kernel for hardware without a fused
+   multiply-add, bitwise [Eft.two_prod_dekker] gate for gate.
+
+   GENERATED by lib/fpan_ir/gen/gen_batch.ml (target [scalar]).  Do not
+   edit this file by hand -- edit the generator and run `dune runtest`
+   (whose drift rule diffs this file against a fresh regeneration),
+   then `dune promote` to accept the new output. *)
+|}
+
+let scalar_ml () =
+  let buf = Buffer.create (1 lsl 16) in
+  Buffer.add_string buf scalar_header;
+  List.iter
+    (fun tr ->
+      Buffer.add_string buf "\n";
+      emit_scalar_tier buf tr)
+    tiers;
   Buffer.contents buf

@@ -60,12 +60,15 @@ let of_network (net : Fpan.Network.t) : Ir.t =
    products.
 
    One deliberate deviation: [mul_expand] flushes each order's error
-   terms in descending i, while the scalar kernels (mf3.ml/mf4.ml) --
-   and hence the generated planar kernels -- consume them ascending.
-   The two layouts are bitwise-equal: the error wires only ever feed
-   Add and TwoSum gates, plain [+.] is commutative on these values,
-   and the 6-op TwoSum's outputs (sum, exact error) are symmetric in
-   its operands.  We follow the scalar kernels' ascending order. *)
+   terms in descending i; this front end -- and so every generated
+   scalar and planar kernel -- pushes them ascending.  The error wires
+   only ever feed Add and TwoSum gates, whose results are symmetric in
+   their operands on numbers, so the two layouts agree on every input
+   whose error terms are not NaN.  They are not bitwise-equal in
+   general: x86 [+.] of two NaNs returns the first operand's payload,
+   so two NaN error terms with distinct payloads can leave the layouts
+   with different NaNs.  The tests hold the kernels to the network
+   interpreter on finite inputs only, and to this IR everywhere. *)
 let inline_mul_expand b n (x : Ir.value array) (y : Ir.value array) : Ir.value array =
   let out = ref [] in
   let push v = out := v :: !out in
@@ -104,14 +107,18 @@ let inline_mul_expand b n (x : Ir.value array) (y : Ir.value array) : Ir.value a
 let interleave t x y =
   Array.init (2 * t) (fun k -> if k mod 2 = 0 then x.(k / 2) else y.(k / 2))
 
-let add_kernel t : Ir.t =
+(* The program of any add-shaped network over [t]-term operands (the
+   core networks and the verifier's seeded mutants alike). *)
+let add_program (net : Fpan.Network.t) t : Ir.t =
   let b = Ir.B.create ~num_inputs:(2 * t) in
   let x = Array.init t (fun i -> Ir.In i) and y = Array.init t (fun i -> Ir.In (t + i)) in
-  let outs = inline_network b (Fpan.Networks.add t) (interleave t x y) in
-  Ir.B.finish b ~name:(Printf.sprintf "add%d" t) ~outputs:outs
+  let outs = inline_network b net (interleave t x y) in
+  Ir.B.finish b ~name:net.Fpan.Network.name ~outputs:outs
 
-(* a - b as the add network on (a, -b): exactly the scalar kernels'
-   [sub a b = add_terms a0 a1 (-.b0) (-.b1)]. *)
+let add_kernel t = add_program (Fpan.Networks.add t) t
+
+(* a - b as the add network on (a, -b): [Neg] gates on the y inputs,
+   then the add program. *)
 let sub_kernel t : Ir.t =
   let b = Ir.B.create ~num_inputs:(2 * t) in
   let x = Array.init t (fun i -> Ir.In i) in
@@ -123,9 +130,13 @@ let sub_kernel t : Ir.t =
   let outs = inline_network b (Fpan.Networks.add t) (interleave t x y) in
   Ir.B.finish b ~name:(Printf.sprintf "sub%d" t) ~outputs:outs
 
-let mul_kernel t : Ir.t =
+(* Likewise for any mul-shaped network: the TwoProd expansion of x * y
+   feeding the network. *)
+let mul_program (net : Fpan.Network.t) t : Ir.t =
   let b = Ir.B.create ~num_inputs:(2 * t) in
   let x = Array.init t (fun i -> Ir.In i) and y = Array.init t (fun i -> Ir.In (t + i)) in
   let wires = inline_mul_expand b t x y in
-  let outs = inline_network b (Fpan.Networks.mul t) wires in
-  Ir.B.finish b ~name:(Printf.sprintf "mul%d" t) ~outputs:outs
+  let outs = inline_network b net wires in
+  Ir.B.finish b ~name:net.Fpan.Network.name ~outputs:outs
+
+let mul_kernel t = mul_program (Fpan.Networks.mul t) t

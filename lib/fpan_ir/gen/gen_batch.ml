@@ -1,4 +1,12 @@
-(* Regenerates lib/multifloat/batch.ml on stdout.  Wired into
-   lib/multifloat/dune as a drift rule: `dune runtest` diffs the
+(* Regenerates one generated kernel file on stdout: `batch` for
+   lib/multifloat/batch.ml (planar kernels), `scalar` for
+   lib/multifloat/fpan_scalar.ml (scalar Mf2/Mf3/Mf4 cores).  Wired
+   into lib/multifloat/dune as drift rules: `dune runtest` diffs each
    committed file against this output, `dune promote` accepts it. *)
-let () = print_string (Fpan_ir.Codegen.batch_ml ())
+let () =
+  match Sys.argv with
+  | [| _; "batch" |] -> print_string (Fpan_ir.Codegen.batch_ml ())
+  | [| _; "scalar" |] -> print_string (Fpan_ir.Codegen.scalar_ml ())
+  | _ ->
+      prerr_endline "usage: gen_batch (batch | scalar)";
+      exit 2

@@ -1,7 +1,8 @@
 (* Reference interpreters for IR programs.
 
    [run] evaluates a program on scalar floats through [Eft], so it is
-   bitwise the semantics the codegen'd kernels must reproduce.
+   bitwise the semantics the codegen'd kernels must reproduce
+   ([~two_prod:Eft.two_prod_dekker] for the Dekker-split kernels).
    [run_planes] stages a program over [floatarray] planes without
    codegen: one loop over the element range, inputs bound per slot to a
    plane load (optionally negated), a loop-invariant scalar, or a
@@ -12,7 +13,7 @@
 
 module F = Float.Array
 
-let run (p : Ir.t) (inputs : float array) : float array =
+let run ?(two_prod = Eft.two_prod) (p : Ir.t) (inputs : float array) : float array =
   if Array.length inputs <> p.Ir.num_inputs then
     invalid_arg
       (Printf.sprintf "Fpan_ir.Interp.run: %s wants %d inputs, got %d" p.Ir.name p.Ir.num_inputs
@@ -31,7 +32,7 @@ let run (p : Ir.t) (inputs : float array) : float array =
           vals.(2 * i) <- s;
           vals.((2 * i) + 1) <- e
       | Ir.Two_prod (a, b) ->
-          let s, e = Eft.two_prod (value a) (value b) in
+          let s, e = two_prod (value a) (value b) in
           vals.(2 * i) <- s;
           vals.((2 * i) + 1) <- e
       | Ir.Add (a, b) -> vals.(2 * i) <- value a +. value b

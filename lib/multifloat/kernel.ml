@@ -1,6 +1,8 @@
-(** The minimal operations a MultiFloat size provides by hand-inlined
-    branch-free code; {!Ops.Make} derives the rest of the public API
-    (division, square root, comparisons, decimal I/O) from these. *)
+(** The minimal operations a MultiFloat size provides as branch-free
+    code: [add]/[sub]/[mul] generated from the FPAN wire programs
+    ({!Fpan_scalar}), the others written per size.  {!Ops.Make} derives
+    the rest of the public API (division, square root, comparisons,
+    decimal I/O) from these. *)
 
 module type KERNEL = sig
   type t

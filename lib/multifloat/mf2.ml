@@ -1,8 +1,9 @@
-(* Hand-inlined transcriptions of the add2/mul2 networks
-   (Fpan.Networks); wire variables [wN] follow the network diagrams. *)
+(* The add/sub/mul cores are the generated [Fpan_scalar.Mf2] kernels
+   (add2/mul2 networks, staged from the wire-program IR); the rest of
+   the kernel is written here. *)
 
 module K = struct
-  type t = { hi : float; lo : float }
+  type t = Fpan_scalar.Mf2.t = { hi : float; lo : float }
 
   let terms = 2
   let precision_bits = 107
@@ -16,25 +17,9 @@ module K = struct
     assert (Array.length c = 2);
     { hi = c.(0); lo = c.(1) }
 
-  let add_terms x0 x1 y0 y1 =
-    let w0, w1 = Eft.two_sum x0 y0 in
-    let w2, w3 = Eft.two_sum x1 y1 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w1 = w1 +. w3 in
-    let w2 = w2 +. w1 in
-    let hi, lo = Eft.fast_two_sum w0 w2 in
-    { hi; lo }
-
-  let add a b = add_terms a.hi a.lo b.hi b.lo
-  let sub a b = add_terms a.hi a.lo (-.b.hi) (-.b.lo)
-
-  let mul a b =
-    let p00, e00 = Eft.two_prod a.hi b.hi in
-    let t = (a.hi *. b.lo) +. (a.lo *. b.hi) in
-    let u = t +. e00 in
-    let hi, lo = Eft.fast_two_sum p00 u in
-    { hi; lo }
-
+  let add = Fpan_scalar.Mf2.add
+  let sub = Fpan_scalar.Mf2.sub
+  let mul = Fpan_scalar.Mf2.mul
   let neg a = { hi = -.a.hi; lo = -.a.lo }
 
   let add_float a f =
@@ -59,11 +44,4 @@ end
 
 include Ops.Make (K)
 
-(* The multiplication kernel for hardware without a fused multiply-add:
-   identical network, TwoProd realized by Veltkamp-Dekker splitting. *)
-let mul_no_fma (a : K.t) (b : K.t) : K.t =
-  let p00, e00 = Eft.two_prod_dekker a.K.hi b.K.hi in
-  let t = (a.K.hi *. b.K.lo) +. (a.K.lo *. b.K.hi) in
-  let u = t +. e00 in
-  let hi, lo = Eft.fast_two_sum p00 u in
-  { K.hi; K.lo }
+let mul_no_fma = Fpan_scalar.Mf2.mul_no_fma

@@ -3,8 +3,9 @@
     Branch-free arithmetic built from the paper's provably optimal
     2-term FPANs (Figures 2 and 5): addition costs 6 gates (20 flops) at
     depth 4, multiplication 1 TwoProd + 2 products + 3 gates (9 flops)
-    at depth 3.  The test suite checks these hand-inlined kernels
-    gate-for-gate against the [Fpan] network interpreter. *)
+    at depth 3.  The add/sub/mul kernels are generated from the same
+    wire programs as the planar {!Batch} kernels; the test suite checks
+    them bitwise against the IR and [Fpan] network interpreters. *)
 
 include Ops.S
 

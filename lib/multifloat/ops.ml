@@ -1,4 +1,4 @@
-(** Derived MultiFloat operations: everything beyond the hand-inlined
+(** Derived MultiFloat operations: everything beyond the generated
     add/sub/mul kernels.  Division and square root follow Section 4.3 of
     the paper: division-free Newton-Raphson iteration on [1/a] and
     [1/sqrt a] with a Karp-Markstein final correction. *)

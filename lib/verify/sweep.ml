@@ -92,33 +92,12 @@ type spec = {
   anchored_slot : int;
 }
 
-(* Kernel-shaped IR for an arbitrary add-shaped network (the core nets
-   and the seeded mutants alike): component-major inputs x @ y fed to
-   the network's interleaved wire order — exactly [Front.add_kernel]
-   generalized over the network. *)
-let add_shaped_ir (net : Fpan.Network.t) t =
-  let open Fpan_ir in
-  let b = Ir.B.create ~num_inputs:(2 * t) in
-  let x = Array.init t (fun i -> Ir.In i) and y = Array.init t (fun i -> Ir.In (t + i)) in
-  let outs = Front.inline_network b net (Front.interleave t x y) in
-  Ir.B.finish b ~name:net.Fpan.Network.name ~outputs:outs
-
-(* Likewise [Front.mul_kernel] generalized: TwoProd expansion of x * y
-   feeding an arbitrary mul-shaped network. *)
-let mul_shaped_ir (net : Fpan.Network.t) t =
-  let open Fpan_ir in
-  let b = Ir.B.create ~num_inputs:(2 * t) in
-  let x = Array.init t (fun i -> Ir.In i) and y = Array.init t (fun i -> Ir.In (t + i)) in
-  let wires = Front.inline_mul_expand b t x y in
-  let outs = Front.inline_network b net wires in
-  Ir.B.finish b ~name:net.Fpan.Network.name ~outputs:outs
-
 let add_network ?(width = 5) ?(window = 1) ?(gap = 2) (net : Fpan.Network.t) ~terms =
   {
     name = net.Fpan.Network.name;
     kind = Add_network;
     net = Some net;
-    prog = add_shaped_ir net terms;
+    prog = Fpan_ir.Front.add_program net terms;
     terms;
     width;
     window;
@@ -132,7 +111,7 @@ let mul_network ?(width = 5) ?(window = 1) ?(gap = 2) (net : Fpan.Network.t) ~te
     name = net.Fpan.Network.name;
     kind = Mul_network;
     net = Some net;
-    prog = mul_shaped_ir net terms;
+    prog = Fpan_ir.Front.mul_program net terms;
     terms;
     width;
     window;

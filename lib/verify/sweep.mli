@@ -44,13 +44,6 @@ type spec = {
   anchored_slot : int;
 }
 
-val add_shaped_ir : Fpan.Network.t -> int -> Fpan_ir.Ir.t
-(** [Front.add_kernel] generalized to any add-shaped network
-    (component-major x @ y inputs, interleaved wire binding) — how the
-    seeded mutants get a circuit. *)
-
-val mul_shaped_ir : Fpan.Network.t -> int -> Fpan_ir.Ir.t
-
 val add_network : ?width:int -> ?window:int -> ?gap:int -> Fpan.Network.t -> terms:int -> spec
 val mul_network : ?width:int -> ?window:int -> ?gap:int -> Fpan.Network.t -> terms:int -> spec
 

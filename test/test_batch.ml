@@ -1,8 +1,9 @@
 (* Batched (planar, structure-of-arrays) kernels vs the scalar path.
 
    The batch layer promises *bitwise* equality with the scalar kernels:
-   the per-element arithmetic is the same FPAN wire sequence, hand
-   inlined over component planes, and the accumulation orders match.
+   the per-element arithmetic is the same FPAN wire program, generated
+   for both the scalar records and the component planes, and the
+   accumulation orders match.
    So these tests don't use error budgets — every comparison is on the
    raw bits of every expansion component, over random inputs and over
    the adversarial structures that break naive networks (massive

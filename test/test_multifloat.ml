@@ -1,10 +1,17 @@
 (* Tests for the MultiFloat kernels (Mf2/Mf3/Mf4) and derived ops.
 
-   The hand-inlined kernels must agree BIT-FOR-BIT with the Fpan
-   network interpreter on the same networks, and meet the paper's error
-   bounds against the exact oracle. *)
+   The add/sub/mul kernels are generated from the Fpan_ir wire
+   programs; they must agree BIT-FOR-BIT (compared as IEEE bit
+   patterns, so -0.0 <> +0.0 and NaNs compare) with those programs
+   under the IR interpreter on the whole scalar corpus, specials
+   included, and with the Fpan network interpreter on finite inputs,
+   and meet the paper's error bounds against the exact oracle. *)
 
 let rng = Random.State.make [| 0x3f; 0x5eed |]
+
+let bits a = Array.map Int64.bits_of_float a
+let same_bits a b = bits a = bits b
+let show a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))
 
 (* Module-level handles so each size can be tested through one functor. *)
 module type MF = Multifloat.Ops.S
@@ -14,6 +21,7 @@ module Test_size
     (Net : sig
       val add_net : Fpan.Network.t
       val mul_net : Fpan.Network.t
+      val mul_no_fma : M.t -> M.t -> M.t
     end) =
 struct
   let n = M.terms
@@ -48,10 +56,8 @@ struct
       let inputs = Fpan.Gen.interleave (M.components a) (M.components b) in
       let expected = Fpan.Interp.run Net.add_net inputs in
       let got = M.components (M.add a b) in
-      if got <> expected then
-        Alcotest.failf "add mismatch vs interpreter: got %s, expected %s"
-          (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") got)))
-          (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") expected)))
+      if not (same_bits got expected) then
+        Alcotest.failf "add mismatch vs interpreter: got %s, expected %s" (show got) (show expected)
     done
 
   let test_mul_matches_network () =
@@ -60,7 +66,34 @@ struct
       let inputs = Fpan.Networks.mul_expand n (M.components a) (M.components b) in
       let expected = Fpan.Interp.run Net.mul_net inputs in
       let got = M.components (M.mul a b) in
-      if got <> expected then Alcotest.fail "mul mismatch vs interpreter"
+      if not (same_bits got expected) then
+        Alcotest.failf "mul mismatch vs interpreter: got %s, expected %s" (show got) (show expected)
+    done
+
+  (* The generated kernels against the IR programs they are generated
+     from, run by the reference interpreter (through Eft), over every
+     corpus class: specials, subnormals and near-overflow included. *)
+  let test_matches_ir_corpus () =
+    let crng = Random.State.make [| 0x1c0; n |] in
+    let progs =
+      [ ("add", M.add, Fpan_ir.Front.add_kernel n, Eft.two_prod);
+        ("sub", M.sub, Fpan_ir.Front.sub_kernel n, Eft.two_prod);
+        ("mul", M.mul, Fpan_ir.Front.mul_kernel n, Eft.two_prod);
+        ("mul_no_fma", Net.mul_no_fma, Fpan_ir.Front.mul_kernel n, Eft.two_prod_dekker) ]
+    in
+    for i = 0 to 5999 do
+      let c = Check.Corpus.scalar_case crng ~terms:n i in
+      let a = M.of_components c.x and b = M.of_components c.y in
+      List.iter
+        (fun (name, op, prog, two_prod) ->
+          let got = M.components (op a b) in
+          let expected = Fpan_ir.Interp.run ~two_prod prog (Array.append c.x c.y) in
+          if not (same_bits got expected) then
+            Alcotest.failf "%s %s vs IR (%s): %s op %s: got %s, expected %s" name
+              prog.Fpan_ir.Ir.name
+              (Check.Corpus.cls_name c.cls)
+              (show c.x) (show c.y) (show got) (show expected))
+        progs
     done
 
   let test_add_accuracy () =
@@ -97,7 +130,7 @@ struct
       let a, b = random_pair () in
       let d1 = M.components (M.sub a b) in
       let d2 = M.components (M.add a (M.neg b)) in
-      if d1 <> d2 then Alcotest.fail "sub <> add . neg"
+      if not (same_bits d1 d2) then Alcotest.fail "sub <> add . neg"
     done
 
   let test_commutativity () =
@@ -266,6 +299,7 @@ struct
     ( name,
       [ Alcotest.test_case "add = network" `Quick test_add_matches_network;
         Alcotest.test_case "mul = network" `Quick test_mul_matches_network;
+        Alcotest.test_case "kernels = IR (corpus)" `Quick test_matches_ir_corpus;
         Alcotest.test_case "add accuracy + nonoverlap" `Quick test_add_accuracy;
         Alcotest.test_case "mul accuracy + nonoverlap" `Quick test_mul_accuracy;
         Alcotest.test_case "scalar ops accuracy" `Quick test_scalar_ops;
@@ -292,6 +326,7 @@ module T2 =
     (struct
       let add_net = Fpan.Networks.add2
       let mul_net = Fpan.Networks.mul2
+      let mul_no_fma = Multifloat.Mf2.mul_no_fma
     end)
 
 module T3 =
@@ -300,6 +335,7 @@ module T3 =
     (struct
       let add_net = Fpan.Networks.add3
       let mul_net = Fpan.Networks.mul3
+      let mul_no_fma = Multifloat.Mf3.mul_no_fma
     end)
 
 module T4 =
@@ -308,6 +344,7 @@ module T4 =
     (struct
       let add_net = Fpan.Networks.add4
       let mul_net = Fpan.Networks.mul4
+      let mul_no_fma = Multifloat.Mf4.mul_no_fma
     end)
 
 (* Generic functor cross-checks. *)
@@ -373,20 +410,26 @@ let test_mul_no_fma () =
     let a2 = Multifloat.Mf2.of_components (Array.sub x 0 2) in
     let b2 = Multifloat.Mf2.of_components (Array.sub y 0 2) in
     if
-      Multifloat.Mf2.components (Multifloat.Mf2.mul a2 b2)
-      <> Multifloat.Mf2.components (Multifloat.Mf2.mul_no_fma a2 b2)
+      not
+        (same_bits
+           (Multifloat.Mf2.components (Multifloat.Mf2.mul a2 b2))
+           (Multifloat.Mf2.components (Multifloat.Mf2.mul_no_fma a2 b2)))
     then Alcotest.fail "mf2 mul_no_fma differs";
     let a3 = Multifloat.Mf3.of_components (Array.sub x 0 3) in
     let b3 = Multifloat.Mf3.of_components (Array.sub y 0 3) in
     if
-      Multifloat.Mf3.components (Multifloat.Mf3.mul a3 b3)
-      <> Multifloat.Mf3.components (Multifloat.Mf3.mul_no_fma a3 b3)
+      not
+        (same_bits
+           (Multifloat.Mf3.components (Multifloat.Mf3.mul a3 b3))
+           (Multifloat.Mf3.components (Multifloat.Mf3.mul_no_fma a3 b3)))
     then Alcotest.fail "mf3 mul_no_fma differs";
     let a4 = Multifloat.Mf4.of_components x in
     let b4 = Multifloat.Mf4.of_components y in
     if
-      Multifloat.Mf4.components (Multifloat.Mf4.mul a4 b4)
-      <> Multifloat.Mf4.components (Multifloat.Mf4.mul_no_fma a4 b4)
+      not
+        (same_bits
+           (Multifloat.Mf4.components (Multifloat.Mf4.mul a4 b4))
+           (Multifloat.Mf4.components (Multifloat.Mf4.mul_no_fma a4 b4)))
     then Alcotest.fail "mf4 mul_no_fma differs"
   done
 
