@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --quick ...  -- shorter timing windows
 
    Experiments: counts accuracy fig8 fig9 fig10 fig11 exponent-range
-                ablation-layout ablations application bechamel
+                ablation-layout ablations application
 
    Absolute numbers are OCaml-on-one-core, not Zen 5/M3 silicon; the
    claims under reproduction are the RATIOS and RANKINGS (who wins, by
@@ -17,42 +17,28 @@
 let min_time = ref 0.30
 let rng = Random.State.make [| 0xbe7c; 42 |]
 
+module Json_out = Obs.Json_out
+
 (* ------------------------------------------------------------------ *)
 (* Timing                                                              *)
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* Run [f] repeatedly for at least [!min_time] seconds and return
-   throughput in billions of extended-precision operations per second
-   ([ops] operations per call, mul+add convention). *)
-let gops ~ops f =
-  f ();
-  (* warmup + determine a batch size that lasts >= ~3ms *)
-  let batch = ref 1 in
-  let rec calibrate () =
-    let t0 = now_s () in
-    for _ = 1 to !batch do
-      f ()
-    done;
-    let dt = now_s () -. t0 in
-    if dt < 3e-3 && !batch < 1 lsl 20 then begin
-      batch := !batch * 4;
-      calibrate ()
-    end
+(* Throughput of [f] in billions of extended-precision operations per
+   second ([ops] operations per call, mul+add convention), with its
+   spread.  A batch of calls lasting >= ~3 ms is calibrated first; then
+   batches are timed for about [!min_time] seconds, and the rate is
+   ops x batch / median batch wall. *)
+let gops_sample ~ops f =
+  let run batch () = for _ = 1 to batch do f () done in
+  let rec calibrate batch =
+    let s, () = Obs.Sample.time ~reps:1 (run batch) in
+    if s.median < 3e-3 && batch < 1 lsl 20 then calibrate (batch * 4) else (batch, s.median)
   in
-  calibrate ();
-  let best = ref 0.0 in
-  let t_start = now_s () in
-  while now_s () -. t_start < !min_time do
-    let t0 = now_s () in
-    for _ = 1 to !batch do
-      f ()
-    done;
-    let dt = now_s () -. t0 in
-    let rate = Float.of_int ops *. Float.of_int !batch /. dt in
-    if rate > !best then best := rate
-  done;
-  !best *. 1e-9
+  let batch, dt = calibrate 1 in
+  let s, () = Obs.Sample.time ~reps:(max 5 (int_of_float (!min_time /. dt))) (run batch) in
+  let work = Float.of_int ops *. Float.of_int batch *. 1e-9 in
+  (work /. s.median, Obs.Sample.to_json ~work s)
+
+let gops ~ops f = fst (gops_sample ~ops f)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel benchmarks over a Numeric instance                           *)
@@ -94,25 +80,25 @@ let bench_cell_scalar (module N : Blas.Numeric.S) spec kernel =
       let x = K.vec_of_floats (random_floats n) in
       let y = K.vec_of_floats (random_floats n) in
       let alpha = N.of_float 0.999999 in
-      gops ~ops:n (fun () -> K.axpy ~alpha ~x ~y)
+      gops_sample ~ops:n (fun () -> K.axpy ~alpha ~x ~y)
   | Dot ->
       let n = spec.vec_n in
       let x = K.vec_of_floats (random_floats n) in
       let y = K.vec_of_floats (random_floats n) in
       let sink = ref N.zero in
-      gops ~ops:n (fun () -> sink := K.dot ~x ~y)
+      gops_sample ~ops:n (fun () -> sink := K.dot ~x ~y)
   | Gemv ->
       let n = spec.mv_n in
       let a = K.vec_of_floats (random_floats (n * n)) in
       let x = K.vec_of_floats (random_floats n) in
       let y = Array.make n N.zero in
-      gops ~ops:(n * n) (fun () -> K.gemv ~m:n ~n ~a ~x ~y)
+      gops_sample ~ops:(n * n) (fun () -> K.gemv ~m:n ~n ~a ~x ~y)
   | Gemm ->
       let n = spec.mm_n in
       let a = K.vec_of_floats (random_floats (n * n)) in
       let b = K.vec_of_floats (random_floats (n * n)) in
       let c = Array.make (n * n) N.zero in
-      gops ~ops:(n * n * n) (fun () -> K.gemm ~m:n ~n ~k:n ~a ~b ~c)
+      gops_sample ~ops:(n * n * n) (fun () -> K.gemm ~m:n ~n ~k:n ~a ~b ~c)
 
 (* The parallel substrate for the planar rows: one shared
    work-stealing scheduler (lib/runtime), sized to the machine. *)
@@ -129,25 +115,25 @@ let bench_cell_batched (module N : Blas.Numeric.BATCHED) spec kernel =
       let x = K.vec_of_floats (random_floats n) in
       let y = K.vec_of_floats (random_floats n) in
       let alpha = N.of_float 0.999999 in
-      gops ~ops:n (fun () -> K.axpy_rt rt ~alpha ~x ~y)
+      gops_sample ~ops:n (fun () -> K.axpy_rt rt ~alpha ~x ~y)
   | Dot ->
       let n = spec.vec_n in
       let x = K.vec_of_floats (random_floats n) in
       let y = K.vec_of_floats (random_floats n) in
       let sink = ref N.zero in
-      gops ~ops:n (fun () -> sink := K.dot_rt rt ~x ~y)
+      gops_sample ~ops:n (fun () -> sink := K.dot_rt rt ~x ~y)
   | Gemv ->
       let n = spec.mv_n in
       let a = K.vec_of_floats (random_floats (n * n)) in
       let x = K.vec_of_floats (random_floats n) in
       let y = K.V.create n in
-      gops ~ops:(n * n) (fun () -> K.gemv_rt rt ~m:n ~n ~a ~x ~y)
+      gops_sample ~ops:(n * n) (fun () -> K.gemv_rt rt ~m:n ~n ~a ~x ~y)
   | Gemm ->
       let n = spec.mm_n in
       let a = K.vec_of_floats (random_floats (n * n)) in
       let b = K.vec_of_floats (random_floats (n * n)) in
       let c = K.V.create (n * n) in
-      gops ~ops:(n * n * n) (fun () -> K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ())
+      gops_sample ~ops:(n * n * n) (fun () -> K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ())
 
 let bench_cell spec kernel =
   match spec.num with
@@ -258,7 +244,8 @@ let nofma_rows =
 (* ------------------------------------------------------------------ *)
 (* Table rendering                                                     *)
 
-let memo : (spec * kernel * float) list ref = ref []
+(* Each measured cell: median Gop/s and its spread. *)
+let memo : (spec * kernel * (float * Json_out.t)) list ref = ref []
 
 let bench_cell_memo spec kernel =
   match List.find_opt (fun (s, k, _) -> s == spec && k = kernel) !memo with
@@ -294,7 +281,7 @@ let print_table ?(cols = default_cols) title rows kernel =
       Array.iter
         (function
           | None -> Printf.printf " %10s" "N/A"
-          | Some (_, g) -> Printf.printf " %10.4f" g)
+          | Some (_, (g, _)) -> Printf.printf " %10.4f" g)
         cells;
       print_newline ())
     results;
@@ -309,7 +296,6 @@ let kernel_n spec = function
   | Gemv -> spec.mv_n
   | Gemm -> spec.mm_n
 
-module Json_out = Obs.Json_out
 
 let json_of_tables tables =
   Json_out.List
@@ -328,7 +314,7 @@ let json_of_tables tables =
                               (Array.to_list cells
                               |> List.filter_map (function
                                    | None -> None
-                                   | Some (spec, g) ->
+                                   | Some (spec, (g, spread)) ->
                                        Some
                                          (Json_out.Obj
                                             [ ("name", Json_out.Str spec.label);
@@ -337,7 +323,8 @@ let json_of_tables tables =
                                               ( "n",
                                                 Json_out.Num (Float.of_int (kernel_n spec kernel))
                                               );
-                                              ("gops", Json_out.Num g) ]))) ) ])
+                                              ("gops", Json_out.Num g);
+                                              ("spread", spread) ]))) ) ])
                     rows) ) ])
        tables)
 
@@ -354,7 +341,7 @@ let layout_speedups tables =
           List.filter_map
             (fun p ->
               match (planar.(p), aos.(p)) with
-              | Some (spec, gp), Some (_, ga) when ga > 0.0 ->
+              | Some (spec, (gp, _)), Some (_, (ga, _)) when ga > 0.0 ->
                   Some
                     (Json_out.Obj
                        [ ("kernel", Json_out.Str (kernel_name kernel));
@@ -381,21 +368,23 @@ let write_table_json ?(extra = []) ~file ~experiment ~note tables =
 
 (* Execution-telemetry block for BENCH_fig9.json: run the tiled
    103-bit runtime GEMM on a fresh scheduler and serialize the
-   per-worker counters.  Two workers minimum so the steal machinery is
-   actually exercised (on a one-core box the domains time-slice; the
-   counters stay exact either way). *)
+   per-worker counters, reset after the warmup so they cover exactly
+   the timed reps ([window_wall_s]).  Two workers minimum so the steal
+   machinery is actually exercised (on a one-core box the domains
+   time-slice; the counters stay exact either way). *)
 let sched_telemetry_block () =
-  let n = if !min_time < 0.2 then 96 else 256 in
+  let n, reps = if !min_time < 0.2 then (96, 3) else (256, 5) in
   let workers = max 2 (Domain.recommended_domain_count ()) in
   let module K = Blas.Kernels.Make_batched (Blas.Instances.Mf2) in
   Runtime.Sched.with_sched ~workers (fun rt ->
       let a = K.vec_of_floats (random_floats (n * n)) in
       let b = K.vec_of_floats (random_floats (n * n)) in
       let c = K.V.create (n * n) in
-      Runtime.Sched.reset_stats rt;
-      let t0 = now_s () in
-      K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ();
-      let wall = now_s () -. t0 in
+      let wall, () =
+        Obs.Sample.time ~reps
+          ~after_warmup:(fun () -> Runtime.Sched.reset_stats rt)
+          (fun () -> K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ())
+      in
       let per_worker = Runtime.Sched.stats_json (Runtime.Sched.stats rt) in
       ( "sched",
         Json_out.Obj
@@ -405,7 +394,9 @@ let sched_telemetry_block () =
             ("n", Json_out.Num (Float.of_int n));
             ("workers", Json_out.Num (Float.of_int workers));
             ("tile", Json_out.Str "32x32");
-            ("wall_s", Json_out.Num wall);
+            ("wall_s", Json_out.Num wall.median);
+            ("spread", Obs.Sample.to_json wall);
+            ("window_wall_s", Json_out.Num wall.total);
             ("per_worker", per_worker) ] ))
 
 let fig9 () =
@@ -433,11 +424,11 @@ let fig8 results =
               (* every MultiFloats row is ours — the AoS ablation must
                  not count as a competing library *)
               if String.starts_with ~prefix:"MultiFloats" label then acc
-              else match cells.(p) with None -> acc | Some (_, g) -> Float.max acc g)
+              else match cells.(p) with None -> acc | Some (_, (g, _)) -> Float.max acc g)
             0.0 table
         in
         match ours.(p) with
-        | Some (_, g) when best_other > 0.0 -> Printf.printf " %9.2fx" (g /. best_other)
+        | Some (_, (g, _)) when best_other > 0.0 -> Printf.printf " %9.2fx" (g /. best_other)
         | _ -> Printf.printf " %10s" "-"
       done;
       print_newline ())
@@ -471,7 +462,7 @@ let ablation_layout () =
         (fun p planar ->
           match (planar, aos_row.(p)) with
           | Some sp, Some sa ->
-              let gp = bench_cell_memo sp kernel and ga = bench_cell_memo sa kernel in
+              let gp = fst (bench_cell_memo sp kernel) and ga = fst (bench_cell_memo sa kernel) in
               Printf.printf "%-6s %6d %12.4f %12.4f %9.2fx\n" (kernel_name kernel) sp.bits gp ga
                 (gp /. ga)
           | _ -> ())
@@ -783,85 +774,26 @@ let application () =
       x;
     !w
   in
-  let t0 = now_s () in
-  let x1 = L.solve ~n am b in
-  let t_direct = now_s () -. t0 in
-  let t0 = now_s () in
-  let x2, stats = R.solve ~n ~a ~b () in
-  let t_refine = now_s () -. t0 in
+  let reps = if !min_time < 0.2 then 1 else 3 in
+  let t_direct, x1 = Obs.Sample.time ~reps (fun () -> L.solve ~n am b) in
+  let t_refine, (x2, stats) = Obs.Sample.time ~reps (fun () -> R.solve ~n ~a ~b ()) in
   let module RB = Linalg.Refine_batched (Multifloat.Mf4) (Multifloat.Batch.Mf4v) in
-  let t0 = now_s () in
-  let x3, stats_b = RB.solve ~n ~a ~b () in
-  let t_refine_b = now_s () -. t0 in
+  let t_refine_b, (x3, stats_b) = Obs.Sample.time ~reps (fun () -> RB.solve ~n ~a ~b ()) in
   let bitwise_same =
     Array.for_all2
       (fun u v -> Multifloat.Mf4.components u = Multifloat.Mf4.components v)
       x2 x3
   in
-  Printf.printf "  direct LU in Mf4 arithmetic : %8.3f s   (err %.1e)\n" t_direct (err x1);
-  Printf.printf "  double LU + Mf4 refinement  : %8.3f s   (err %.1e, %d iterations)\n" t_refine
-    (err x2) stats.R.iterations;
+  Printf.printf "  (median wall of %d run%s each)\n" reps (if reps = 1 then "" else "s");
+  Printf.printf "  direct LU in Mf4 arithmetic : %8.3f s   (err %.1e)\n" t_direct.median (err x1);
+  Printf.printf "  double LU + Mf4 refinement  : %8.3f s   (err %.1e, %d iterations)\n"
+    t_refine.median (err x2) stats.R.iterations;
   Printf.printf "  same, planar (SoA) residual : %8.3f s   (err %.1e, %d iterations%s)\n"
-    t_refine_b (err x3) stats_b.RB.iterations
+    t_refine_b.median (err x3) stats_b.RB.iterations
     (if bitwise_same then ", bitwise identical" else ", RESULTS DIFFER");
-  Printf.printf "  speedup from mixed precision: %8.1fx\n" (t_direct /. t_refine);
+  Printf.printf "  speedup from mixed precision: %8.1fx\n" (t_direct.median /. t_refine.median);
   print_endline "  (refinement amortizes the O(n^3) factorization into doubles and";
   print_endline "   keeps only O(n^2) extended-precision work per iteration)"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: one Test.make per table                   *)
-
-let bechamel_suite () =
-  print_endline "\n=== Bechamel microbenchmarks (one Test per table/figure) ===";
-  let open Bechamel in
-  let make_kernel_test name (module N : Blas.Numeric.S) kernel n =
-    let module K = Blas.Kernels.Make (N) in
-    match kernel with
-    | Axpy ->
-        let x = K.vec_of_floats (random_floats n) and y = K.vec_of_floats (random_floats n) in
-        let alpha = N.of_float 0.999999 in
-        Test.make ~name (Staged.stage (fun () -> K.axpy ~alpha ~x ~y))
-    | Dot ->
-        let x = K.vec_of_floats (random_floats n) and y = K.vec_of_floats (random_floats n) in
-        Test.make ~name (Staged.stage (fun () -> ignore (K.dot ~x ~y)))
-    | Gemv ->
-        let a = K.vec_of_floats (random_floats (n * n)) in
-        let x = K.vec_of_floats (random_floats n) in
-        let y = Array.make n N.zero in
-        Test.make ~name (Staged.stage (fun () -> K.gemv ~m:n ~n ~a ~x ~y))
-    | Gemm ->
-        let a = K.vec_of_floats (random_floats (n * n)) in
-        let b = K.vec_of_floats (random_floats (n * n)) in
-        let c = Array.make (n * n) N.zero in
-        Test.make ~name (Staged.stage (fun () -> K.gemm ~m:n ~n ~k:n ~a ~b ~c))
-  in
-  let tests =
-    [ make_kernel_test "fig9-axpy-table (mf2 axpy 1024)" (module Blas.Instances.Mf2) Axpy 1024;
-      make_kernel_test "fig9-dot-table (mf2 dot 1024)" (module Blas.Instances.Mf2) Dot 1024;
-      make_kernel_test "fig9-gemv-table (mf2 gemv 48)" (module Blas.Instances.Mf2) Gemv 48;
-      make_kernel_test "fig9-gemm-table (mf2 gemm 24)" (module Blas.Instances.Mf2) Gemm 24;
-      make_kernel_test "fig10-tables (no-FMA mf2 dot 1024)" (module Nofma2) Dot 1024;
-      make_kernel_test "fig11-table (gpu mf2 dot 1024)" (module Blas.Instances.Gpu2) Dot 1024;
-      make_kernel_test "fig8-ratios (qd-dd dot 1024)" (module Blas.Instances.Qd_dd) Dot 1024 ]
-  in
-  let test = Test.make_grouped ~name:"tables" ~fmt:"%s %s" tests in
-  let benchmark () =
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-42s %12.1f ns/call\n" name est
-      | _ -> Printf.printf "  %-42s (no estimate)\n" name)
-    results
 
 (* ------------------------------------------------------------------ *)
 
@@ -877,7 +809,7 @@ let () =
   let selected =
     if args = [] then
       [ "counts"; "accuracy"; "fig9"; "fig8"; "fig10"; "fig11"; "exponent-range";
-        "ablation-layout"; "ablations"; "application"; "bechamel" ]
+        "ablation-layout"; "ablations"; "application" ]
     else args
   in
   let want x = List.mem x selected in
@@ -902,6 +834,5 @@ let () =
   if want "ablation-layout" then ablation_layout ();
   if want "ablations" then ablations ();
   if want "application" then application ();
-  if want "bechamel" then bechamel_suite ();
   if Lazy.is_val sched then Runtime.Sched.shutdown (Lazy.force sched);
   print_endline "\nDone."

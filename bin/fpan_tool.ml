@@ -231,6 +231,20 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ cases_arg $ seed_arg $ ops_arg $ tiers_arg $ vec_len_arg $ out_arg)
 
+(* [--reps] of the timed subcommands: the sample count behind each
+   Obs.Sample median.  Fewer than one is a usage error (exit 2), not
+   something to clamp. *)
+let reps_arg default =
+  let parse s =
+    match int_of_string_opt s with
+    | Some r when r >= 1 -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) default
+    & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (median reported).")
+
 (* ------------------------------------------------------------------ *)
 (* bench-sched: worker-count scaling curve of the work-stealing tiled
    GEMM engine (lib/runtime), with execution telemetry and bitwise
@@ -260,31 +274,21 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   let rand_vec len = K.vec_of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0)) in
   let a = rand_vec (n * n) and b = rand_vec (n * n) in
   let ops = n * n * n in
-  let reps = max 1 reps in
-  (* Fresh C per rep (GEMM accumulates).  One untimed warmup, then
-     [after_warmup] (where telemetry is reset, so its window is exactly
-     the timed reps), then the reps.  Returns the median rep wall, the
-     window wall (sum of rep walls) and the last result. *)
-  let time_gemm ?(after_warmup = ignore) f =
-    f (K.V.create (n * n));
-    after_warmup ();
-    let walls = Array.make reps 0.0 and result = ref None in
-    for r = 0 to reps - 1 do
-      let c = K.V.create (n * n) in
-      let t0 = Unix.gettimeofday () in
-      f c;
-      walls.(r) <- Unix.gettimeofday () -. t0;
-      result := Some (K.vec_to_floats c)
-    done;
-    let window = Array.fold_left ( +. ) 0.0 walls in
-    Array.sort Float.compare walls;
-    let median = (walls.((reps - 1) / 2) +. walls.(reps / 2)) /. 2.0 in
-    (median, window, Option.get !result)
+  (* Fresh C per rep (GEMM accumulates); the result is the last rep's C. *)
+  let time_gemm ?after_warmup gemm =
+    let s, c =
+      Obs.Sample.time ?after_warmup ~reps (fun () ->
+          let c = K.V.create (n * n) in
+          gemm c;
+          c)
+    in
+    (s, K.vec_to_floats c)
   in
   let gops dt = Float.of_int ops /. dt *. 1e-9 in
   Printf.printf "bench-sched: %d-bit GEMM, n = %d, tile %dx%d, median of %d\n" B.bits n (fst tile)
     (snd tile) reps;
-  let t_seq, _, ref_c = time_gemm (fun c -> K.gemm ~m:n ~n ~k:n ~a ~b ~c) in
+  let seq, ref_c = time_gemm (fun c -> K.gemm ~m:n ~n ~k:n ~a ~b ~c) in
+  let t_seq = seq.median in
   Printf.printf "  sequential batched kernel: %.4f s  (%.4f Gop/s)\n" t_seq (gops t_seq);
   let mismatches = ref 0 in
   let module J = Obs.Json_out in
@@ -298,11 +302,12 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
     List.map
       (fun w ->
         Runtime.Sched.with_sched ~workers:w (fun rt ->
-            let t_rt, window, c_rt =
+            let s_rt, c_rt =
               time_gemm
                 ~after_warmup:(fun () -> Runtime.Sched.reset_stats rt)
                 (fun c -> K.gemm_rt rt ~tile ~m:n ~n ~k:n ~a ~b ~c ())
             in
+            let t_rt = s_rt.median in
             let stats = Runtime.Sched.stats rt in
             let bitwise = c_rt = ref_c in
             if not bitwise then incr mismatches;
@@ -317,9 +322,10 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
             J.Obj
               [ ("workers", J.Num (Float.of_int w));
                 ("runtime_wall_s", J.Num t_rt);
+                ("spread", Obs.Sample.to_json s_rt);
                 ("runtime_gops", J.Num (gops t_rt));
                 ("speedup_vs_seq", J.Num (t_seq /. t_rt));
-                ("window_wall_s", J.Num window);
+                ("window_wall_s", J.Num s_rt.total);
                 ("bitwise_equal_seq", J.Bool bitwise);
                 ("telemetry", telemetry) ]))
       workers
@@ -330,13 +336,15 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
       Printf.printf "  tile sweep (workers = %d):\n" (List.hd workers);
       List.map
         (fun t ->
-          let dt, _, c =
+          let s, c =
             Runtime.Sched.with_sched ~workers:(List.hd workers) (fun rt ->
                 time_gemm (fun cc -> K.gemm_rt rt ~tile:(t, t) ~m:n ~n ~k:n ~a ~b ~c:cc ()))
           in
           if c <> ref_c then incr mismatches;
-          Printf.printf "    %3dx%-3d: %.4f s  (%.4f Gop/s)\n" t t dt (gops dt);
-          J.Obj [ ("tile", J.Num (Float.of_int t)); ("wall_s", J.Num dt); ("gops", J.Num (gops dt)) ])
+          Printf.printf "    %3dx%-3d: %.4f s  (%.4f Gop/s)\n" t t s.median (gops s.median);
+          J.Obj
+            [ ("tile", J.Num (Float.of_int t)); ("wall_s", J.Num s.median);
+              ("spread", Obs.Sample.to_json s); ("gops", J.Num (gops s.median)) ])
         [ 8; 16; 32; 64; 128 ]
     end
   in
@@ -370,7 +378,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   in
   let json =
     J.Obj
-      ([ ("schema", J.Str "fpan-bench-sched/2");
+      ([ ("schema", J.Str "fpan-bench-sched/3");
          ("kernel", J.Str "GEMM");
          ("bits", J.Num (Float.of_int B.bits));
          ("n", J.Num (Float.of_int n));
@@ -378,6 +386,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
          ("tile_n", J.Num (Float.of_int (snd tile)));
          ("reps", J.Num (Float.of_int reps));
          ("seq_wall_s", J.Num t_seq);
+         ("seq_spread", Obs.Sample.to_json seq);
          ("seq_gops", J.Num (gops t_seq));
          ("curve", J.List curve) ]
       @ (if tile_sweep = [] then [] else [ ("tile_sweep", J.List tile_sweep) ])
@@ -406,9 +415,6 @@ let bench_sched_cmd =
     Arg.(
       value & opt string "1,2,4"
       & info [ "workers" ] ~docv:"W,W,..." ~doc:"Comma-separated worker counts.")
-  in
-  let reps_arg =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (median reported).")
   in
   let tile_arg =
     let parse s =
@@ -446,7 +452,7 @@ let bench_sched_cmd =
   Cmd.v
     (Cmd.info "bench-sched" ~doc)
     Term.(
-      const bench_sched_run $ n_arg $ terms_arg $ workers_arg $ reps_arg $ tile_arg $ sweep_arg
+      const bench_sched_run $ n_arg $ terms_arg $ workers_arg $ reps_arg 3 $ tile_arg $ sweep_arg
       $ obs_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -460,9 +466,10 @@ let bench_sched_cmd =
 let trace_run workload n terms workers reps out_prefix =
   drain_on_signal ();
   let module J = Obs.Json_out in
-  (* One execution of the workload: wall seconds plus the per-worker
-     telemetry when a scheduler was involved. *)
-  let execute =
+  (* [with_workload k] calls [k rt run]: [run] executes the workload
+     once, on the scheduler [rt] (created once for the whole trace) when
+     the workload uses one. *)
+  let with_workload k =
     match workload with
     | "gemm" ->
         let module B =
@@ -480,14 +487,8 @@ let trace_run workload n terms workers reps out_prefix =
           K.vec_of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))
         in
         let a = rand_vec (n * n) and b = rand_vec (n * n) in
-        fun () ->
-          Runtime.Sched.with_sched ~workers (fun rt ->
-              Runtime.Sched.reset_stats rt;
-              let c = K.V.create (n * n) in
-              let t0 = Unix.gettimeofday () in
-              K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c ();
-              let wall = Unix.gettimeofday () -. t0 in
-              (wall, Some (Runtime.Sched.stats_json (Runtime.Sched.stats rt))))
+        Runtime.Sched.with_sched ~workers (fun rt ->
+            k (Some rt) (fun () -> K.gemm_rt rt ~m:n ~n ~k:n ~a ~b ~c:(K.V.create (n * n)) ()))
     | "refine" ->
         let module M = Multifloat.Mf2 in
         let module RB = Linalg.Refine_batched (M) (Multifloat.Batch.Mf2v) in
@@ -498,44 +499,36 @@ let trace_run workload n terms workers reps out_prefix =
           a.((i * n) + i) <- a.((i * n) + i) +. Float.of_int n
         done;
         let b = Array.init n (fun _ -> M.of_float (Random.State.float rng 2.0 -. 1.0)) in
-        fun () ->
-          Runtime.Sched.with_sched ~workers (fun rt ->
-              Runtime.Sched.reset_stats rt;
-              let t0 = Unix.gettimeofday () in
-              let _x, _stats = RB.solve ~rt ~n ~a ~b () in
-              let wall = Unix.gettimeofday () -. t0 in
-              (wall, Some (Runtime.Sched.stats_json (Runtime.Sched.stats rt))))
+        Runtime.Sched.with_sched ~workers (fun rt ->
+            k (Some rt) (fun () -> ignore (RB.solve ~rt ~n ~a ~b ())))
     | "fuzz" ->
         let cfg =
           { Check.Fuzz.default with Check.Fuzz.cases = Stdlib.max 50 n; tiers = [ 2; 3 ] }
         in
-        fun () ->
-          let t0 = Unix.gettimeofday () in
-          let r = Check.Fuzz.run cfg in
-          ignore r.Check.Fuzz.failure_count;
-          (Unix.gettimeofday () -. t0, None)
+        k None (fun () -> ignore (Check.Fuzz.run cfg))
     | w ->
         Printf.eprintf "trace: unknown workload %s (gemm, refine, fuzz)\n" w;
         exit 2
   in
-  let best_of reps =
-    let best = ref infinity and sched = ref None in
-    for _ = 1 to Stdlib.max 1 reps do
-      let dt, s = execute () in
-      if dt < !best then best := dt;
-      sched := s (* telemetry of the most recent run *)
-    done;
-    (!best, !sched)
+  (* Untraced, then traced.  The traced warmup creates the per-domain
+     rings; spans, metrics and scheduler telemetry are all reset after
+     it, so the three cover the same timed reps ([window_wall_s]). *)
+  let untraced, traced, sched =
+    with_workload (fun rt run ->
+        Obs.Trace.set_enabled false;
+        let untraced, () = Obs.Sample.time ~reps run in
+        Obs.Trace.set_enabled true;
+        let traced, () =
+          Obs.Sample.time ~reps run ~after_warmup:(fun () ->
+              Obs.Trace.clear ();
+              Obs.Metrics.reset ();
+              Option.iter Runtime.Sched.reset_stats rt)
+        in
+        Obs.Trace.set_enabled false;
+        let sched = Option.map (fun rt -> Runtime.Sched.stats_json (Runtime.Sched.stats rt)) rt in
+        (untraced, traced, sched))
   in
-  ignore (execute ()) (* warmup *);
-  Obs.Trace.set_enabled false;
-  let t_un, _ = best_of reps in
-  Obs.Trace.set_enabled true;
-  ignore (execute ()) (* traced warmup: creates the per-domain rings *);
-  Obs.Trace.clear ();
-  Obs.Metrics.reset ();
-  let t_tr, sched = best_of reps in
-  Obs.Trace.set_enabled false;
+  let t_un = untraced.median and t_tr = traced.median in
   let dropped = Obs.Trace.dropped () in
   let spans = Obs.Trace.drain () in
   let unbalanced = Obs.Trace.unbalanced () in
@@ -544,8 +537,11 @@ let trace_run workload n terms workers reps out_prefix =
   let overhead =
     J.Obj
       [ ("untraced_wall_s", J.Num t_un);
+        ("untraced_spread", Obs.Sample.to_json untraced);
         ("traced_wall_s", J.Num t_tr);
-        ("overhead_pct", J.Num overhead_pct) ]
+        ("traced_spread", Obs.Sample.to_json traced);
+        ("overhead_pct", J.Num overhead_pct);
+        ("window_wall_s", J.Num traced.total) ]
   in
   let summary =
     Obs.Export.summary ~workload ?sched ~extra:[ ("overhead", overhead) ] ~spans ~metrics
@@ -599,15 +595,12 @@ let trace_cmd =
   let workers_arg =
     Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc:"Scheduler worker count.")
   in
-  let reps_arg =
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (best-of).")
-  in
   let out_arg =
     Arg.(value & opt string "TRACE"
          & info [ "out"; "o" ] ~docv:"PREFIX" ~doc:"Output path prefix.")
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const trace_run $ workload_arg $ n_arg $ terms_arg $ workers_arg $ reps_arg $ out_arg)
+    Term.(const trace_run $ workload_arg $ n_arg $ terms_arg $ workers_arg $ reps_arg 3 $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / loadgen: the batched extended-precision evaluation service
@@ -977,19 +970,6 @@ let lg_driver ~sockaddr ~slas ~ops ~tiers ~pipeline ~t_end ~cid0 ~nconns =
   List.iter drop made;
   List.map (fun cn -> cn.lc_counts) made
 
-let lg_percentiles lats =
-  let a = Array.of_list lats in
-  Array.sort compare a;
-  let n = Array.length a in
-  let module J = Obs.Json_out in
-  let pct p =
-    if n = 0 then J.Null
-    else J.Num a.(min (n - 1) (int_of_float ((p *. Float.of_int (n - 1)) +. 0.5)))
-  in
-  J.Obj
-    [ ("p50", pct 0.50); ("p90", pct 0.90); ("p95", pct 0.95); ("p99", pct 0.99);
-      ("max", if n = 0 then J.Null else J.Num a.(n - 1)) ]
-
 (* Drive one cell: [conns] closed-loop connections against [sockaddr]
    for [duration] seconds, multiplexed over up to 16 driver threads. *)
 let lg_drive ~sockaddr ~slas ~ops ~tiers ~conns ~pipeline ~duration =
@@ -1272,7 +1252,12 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
           ("wall_s", J.Num wall);
           ("throughput_rps", J.Num throughput);
           ("shed_rate", J.Num shed_rate);
-          ("latency_us", lg_percentiles lats);
+          ( "latency_us",
+            (* no samples: nan, which Json_out renders as null *)
+            let pct p = J.Num (Obs.Sample.quantile (Array.of_list lats) p) in
+            J.Obj
+              [ ("p50", pct 0.50); ("p90", pct 0.90); ("p95", pct 0.95); ("p99", pct 0.99);
+                ("max", pct 1.0) ] );
           ("batch_histogram", member "batch_histogram");
           ("sched", member "sched") ] )
   in
@@ -1869,17 +1854,6 @@ let ad_workload ~cases ~n ~ops ~slas ~seed =
       in
       (op, q, { AD.Sla.x; y; z }))
 
-let ad_best_of reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to Stdlib.max 1 reps do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
 let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
   let module J = Obs.Json_out in
   let split s = String.split_on_char ',' s |> List.filter (fun p -> String.trim p <> "") in
@@ -1925,21 +1899,21 @@ let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
      (Sla.pad, exact), exactly as the respective service paths do: the
      comparison is "serve these requests adaptively" vs "serve these
      requests at the top tier". *)
-  let sla_wall =
-    ad_best_of reps (fun () ->
+  let sla, () =
+    Obs.Sample.time ~reps (fun () ->
         Array.iter
           (fun (op, q, inp) -> ignore (AD.Escalate.run ~q ~op inp))
           work)
   in
-  let mf4_wall =
-    ad_best_of reps (fun () ->
+  let mf4, () =
+    Obs.Sample.time ~reps (fun () ->
         Array.iter
           (fun (op, _, inp) -> ignore (AD.Eval.eval ~terms:4 op (AD.Sla.pad ~terms:4 inp)))
           work)
   in
-  let sla_rps = if sla_wall > 0. then Float.of_int cases /. sla_wall else 0. in
-  let mf4_rps = if mf4_wall > 0. then Float.of_int cases /. mf4_wall else 0. in
-  let speedup = if sla_wall > 0. then mf4_wall /. sla_wall else 0. in
+  let work_n = Float.of_int cases in
+  let sla_rps = work_n /. sla.median and mf4_rps = work_n /. mf4.median in
+  let speedup = mf4.median /. sla.median in
   let tier_order = [ "mf2"; "mf3"; "mf4"; "bigfloat" ] in
   Printf.printf "adaptive: %d cases, %d escalations\n" cases !escalations;
   List.iter
@@ -1988,7 +1962,9 @@ let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
                tier_order) );
         ("escalations", J.Num (Float.of_int !escalations));
         ("sla_throughput_rps", J.Num sla_rps);
+        ("sla_spread", Obs.Sample.to_json ~work:work_n sla);
         ("mf4_throughput_rps", J.Num mf4_rps);
+        ("mf4_spread", Obs.Sample.to_json ~work:work_n mf4);
         ("speedup_vs_mf4", J.Num speedup);
         ( "fuzz",
           J.Obj
@@ -2042,9 +2018,6 @@ let adaptive_cmd =
          & info [ "sla" ] ~docv:"Q,Q,..."
              ~doc:"Error budgets 2^-Q to round-robin over the workload.")
   in
-  let reps_arg =
-    Arg.(value & opt int 5 & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (best-of).")
-  in
   let fuzz_arg =
     Arg.(value & opt int 5000
          & info [ "fuzz-cases" ] ~docv:"N" ~doc:"Cases for the certification fuzz gate.")
@@ -2058,7 +2031,7 @@ let adaptive_cmd =
              ~doc:"Loadgen artifact to merge the adaptive block into.")
   in
   Cmd.v (Cmd.info "adaptive" ~doc)
-    Term.(const adaptive_run $ cases_arg $ n_arg $ ops_arg $ slas_arg $ reps_arg
+    Term.(const adaptive_run $ cases_arg $ n_arg $ ops_arg $ slas_arg $ reps_arg 5
           $ fuzz_arg $ seed_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -2068,7 +2041,7 @@ let adaptive_cmd =
    generated from.  Bench mode times each fused kernel against its
    op-by-op composition over the same planes, demands bitwise
    equality (fusion never reorders or drops a gate, so anything else
-   is a bug), and writes the fpan-bench-fuse/1 artifact. *)
+   is a bug), and writes the fpan-bench-fuse/2 artifact. *)
 
 module Fuse_bench
     (M : Multifloat.Ops.S)
@@ -2085,30 +2058,19 @@ struct
   let vec_eq a b =
     Vb.length a = Vb.length b && Array.for_all2 scalar_eq (Vb.to_array a) (Vb.to_array b)
 
-  (* one warmup call, then best-of wall time (result is from the last
-     rep; every rep is deterministic, so any rep's result will do) *)
-  let best_of reps f =
-    ignore (f ());
-    let best = ref infinity and result = ref None in
-    for _ = 1 to Stdlib.max 1 reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (!best, Option.get !result)
-
   let run ~n ~nref ~reps ~workers ~out =
     let module J = Obs.Json_out in
     let rng = Random.State.make [| 0xf05e; n; Vb.terms |] in
     let rand_vec len =
       Vb.of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))
     in
-    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, best of %d\n"
+    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, median of %d\n"
       M.precision_bits n nref reps;
+    let time f = Obs.Sample.time ~reps f in
     let mismatches = ref 0 in
-    let cell ~kernel ~unfused ~len ~fused_s ~unfused_s ~bitwise =
+    let cell ~kernel ~unfused ~len ~(t_f : Obs.Sample.summary) ~(t_u : Obs.Sample.summary)
+        ~bitwise =
+      let fused_s = t_f.median and unfused_s = t_u.median in
       if not bitwise then incr mismatches;
       Printf.printf "  %-13s fused %.6f s   %-9s %.6f s   %.2fx  bitwise %s\n" kernel fused_s
         unfused unfused_s (unfused_s /. fused_s)
@@ -2120,7 +2082,9 @@ struct
           ("n", J.Num (Float.of_int len));
           ("reps", J.Num (Float.of_int reps));
           ("fused_wall_s", J.Num fused_s);
+          ("fused_spread", Obs.Sample.to_json t_f);
           ("unfused_wall_s", J.Num unfused_s);
+          ("unfused_spread", Obs.Sample.to_json t_u);
           ("speedup", J.Num (unfused_s /. fused_s));
           ("bitwise_equal", J.Bool bitwise) ]
     in
@@ -2131,14 +2095,14 @@ struct
       let x = rand_vec n and y = rand_vec n in
       let tmp = Vb.create n in
       let t_f, r_f =
-        best_of reps (fun () -> Vb.dot ~init:M.zero ~x ~xoff:0 ~y ~yoff:0 ~len:n)
+        time (fun () -> Vb.dot ~init:M.zero ~x ~xoff:0 ~y ~yoff:0 ~len:n)
       in
       let t_u, r_u =
-        best_of reps (fun () ->
+        time (fun () ->
             Vb.mul ~dst:tmp x y;
             Vb.sum ~init:M.zero ~x:tmp ~xoff:0 ~len:n)
       in
-      cell ~kernel:"dot" ~unfused:"mul+sum" ~len:n ~fused_s:t_f ~unfused_s:t_u
+      cell ~kernel:"dot" ~unfused:"mul+sum" ~len:n ~t_f ~t_u
         ~bitwise:(scalar_eq r_f r_u)
     in
     (* AXPY;DOT: the fused single-pass update-and-fold vs AXPY followed
@@ -2149,13 +2113,13 @@ struct
       let alpha = Vb.get (rand_vec 1) 0 in
       let x = rand_vec n and y0 = rand_vec n and w = rand_vec n in
       let t_f, (acc_f, y_f) =
-        best_of reps (fun () ->
+        time (fun () ->
             let y = Vb.copy y0 in
             let acc = Vb.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:M.zero in
             (acc, y))
       in
       let t_u, (acc_u, y_u) =
-        best_of reps (fun () ->
+        time (fun () ->
             let y = Vb.copy y0 in
             Vb.axpy ~lo:0 ~hi:n ~alpha ~x ~y;
             (Vb.dot ~init:M.zero ~x:y ~xoff:0 ~y:w ~yoff:0 ~len:n, y))
@@ -2168,7 +2132,7 @@ struct
             let au = E.dot rt yu w in
             scalar_eq af au && vec_eq yf yu)
       in
-      cell ~kernel:"axpy_dot" ~unfused:"axpy+dot" ~len:n ~fused_s:t_f ~unfused_s:t_u
+      cell ~kernel:"axpy_dot" ~unfused:"axpy+dot" ~len:n ~t_f ~t_u
         ~bitwise:(scalar_eq acc_f acc_u && vec_eq y_f y_u && rt_ok)
     in
     (* GEMV residual: per-row fused dot;sub vs GEMV into a temporary
@@ -2179,14 +2143,14 @@ struct
       let a = rand_vec (m * m) and xv = rand_vec m and bv = rand_vec m in
       let r_f = Vb.create m and r_u = Vb.create m and tmp = Vb.create m in
       let t_f, () =
-        best_of reps (fun () ->
+        time (fun () ->
             for i = 0 to m - 1 do
               Vb.set r_f i
                 (Vb.dot_sub ~b:(Vb.get bv i) ~x:a ~xoff:(i * m) ~y:xv ~yoff:0 ~len:m)
             done)
       in
       let t_u, () =
-        best_of reps (fun () ->
+        time (fun () ->
             for i = 0 to m - 1 do
               Vb.set tmp i (Vb.dot ~init:M.zero ~x:a ~xoff:(i * m) ~y:xv ~yoff:0 ~len:m)
             done;
@@ -2198,7 +2162,7 @@ struct
             E.gemv_residual rt ~m ~n:m ~a ~x:xv ~b:bv ~r:r_rt ();
             vec_eq r_rt r_f)
       in
-      cell ~kernel:"gemv_residual" ~unfused:"gemv+sub" ~len:m ~fused_s:t_f ~unfused_s:t_u
+      cell ~kernel:"gemv_residual" ~unfused:"gemv+sub" ~len:m ~t_f ~t_u
         ~bitwise:(vec_eq r_f r_u && rt_ok)
     in
     (* Refinement: solve a diagonally dominant system once (sequential
@@ -2223,14 +2187,14 @@ struct
       let am = Vb.of_floats a and xv = Vb.of_array x_seq and bv = Vb.of_array b in
       let r_f = Vb.create nr and r_u = Vb.create nr and tmp = Vb.create nr in
       let t_f, () =
-        best_of reps (fun () ->
+        time (fun () ->
             for i = 0 to nr - 1 do
               Vb.set r_f i
                 (Vb.dot_sub ~b:(Vb.get bv i) ~x:am ~xoff:(i * nr) ~y:xv ~yoff:0 ~len:nr)
             done)
       in
       let t_u, () =
-        best_of reps (fun () ->
+        time (fun () ->
             for i = 0 to nr - 1 do
               Vb.set tmp i (Vb.dot ~init:M.zero ~x:am ~xoff:(i * nr) ~y:xv ~yoff:0 ~len:nr)
             done;
@@ -2240,20 +2204,22 @@ struct
       if not bitwise then incr mismatches;
       Printf.printf
         "  refine        fused iter %.6f s   unfused iter %.6f s   %.2fx  (%d iterations)  bitwise %s\n"
-        t_f t_u (t_u /. t_f) stats.RB.iterations
+        t_f.median t_u.median (t_u.median /. t_f.median) stats.RB.iterations
         (if bitwise then "ok" else "MISMATCH");
       J.Obj
         [ ("bits", J.Num (Float.of_int M.precision_bits));
           ("n", J.Num (Float.of_int nr));
           ("iterations", J.Num (Float.of_int stats.RB.iterations));
-          ("fused_iter_s", J.Num t_f);
-          ("unfused_iter_s", J.Num t_u);
-          ("speedup", J.Num (t_u /. t_f));
+          ("fused_iter_s", J.Num t_f.median);
+          ("fused_spread", Obs.Sample.to_json t_f);
+          ("unfused_iter_s", J.Num t_u.median);
+          ("unfused_spread", Obs.Sample.to_json t_u);
+          ("speedup", J.Num (t_u.median /. t_f.median));
           ("bitwise_equal", J.Bool bitwise) ]
     in
     let json =
       J.Obj
-        [ ("schema", J.Str "fpan-bench-fuse/1");
+        [ ("schema", J.Str "fpan-bench-fuse/2");
           ("mode", J.Str "ablation-fusion");
           ("workers", J.Num (Float.of_int workers));
           ("cells", J.List [ dot_cell; axpy_dot_cell; gemv_cell ]);
@@ -2322,9 +2288,6 @@ let fuse_cmd =
       value & opt int 256
       & info [ "nref" ] ~docv:"N" ~doc:"Matrix dimension for gemv_residual and refinement.")
   in
-  let reps_arg =
-    Arg.(value & opt int 5 & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (best-of).")
-  in
   let workers_arg =
     Arg.(
       value & opt int 4
@@ -2337,7 +2300,7 @@ let fuse_cmd =
   in
   Cmd.v (Cmd.info "fuse" ~doc)
     Term.(
-      const fuse_run $ dump_arg $ terms_arg $ n_arg $ nref_arg $ reps_arg $ workers_arg $ out_arg)
+      const fuse_run $ dump_arg $ terms_arg $ n_arg $ nref_arg $ reps_arg 5 $ workers_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* verify: exhaustive small-width verification certificates.  Bit-blast

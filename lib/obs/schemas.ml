@@ -24,6 +24,10 @@ let worker_row =
       Opt ("idle_seconds", Num);
       Req ("busy_fraction", Num) ]
 
+(* Obs.Sample.to_json: the quartiles and sample count of a timed value
+   reported as a median, in that value's units. *)
+let spread = Obj [ Req ("q1", Num); Req ("q3", Num); Req ("n", Int) ]
+
 (* --- BENCH_fig9/10/11.json ------------------------------------------ *)
 
 let fig_cell =
@@ -32,7 +36,8 @@ let fig_cell =
       Req ("bits", Int);
       Req ("layout", Str);
       Req ("n", Int);
-      Req ("gops", num_or_null) ]
+      Req ("gops", num_or_null);
+      Req ("spread", spread) ]
 
 let fig_table =
   Obj
@@ -48,6 +53,8 @@ let fig_sched_block =
       Req ("workers", Int);
       Req ("tile", Str);
       Req ("wall_s", Num);
+      Req ("spread", spread);
+      Req ("window_wall_s", Num);
       Req ("per_worker", List worker_row) ]
 
 let bench_fig =
@@ -62,14 +69,16 @@ let bench_fig =
         );
       Opt ("sched", fig_sched_block) ]
 
-(* --- BENCH_sched.json (fpan-bench-sched/2) -------------------------- *)
+(* --- BENCH_sched.json (fpan-bench-sched/3) -------------------------- *)
 
-(* Walls are medians over the reps; [window_wall_s] is the sum of the
-   rep walls, the window the [telemetry] counters cover. *)
+(* Walls are medians over the reps, each with its spread;
+   [window_wall_s] is the sum of the rep walls, the window the
+   [telemetry] counters cover. *)
 let sched_curve_row =
   Obj
     [ Req ("workers", Int);
       Req ("runtime_wall_s", Num);
+      Req ("spread", spread);
       Req ("runtime_gops", Num);
       Req ("speedup_vs_seq", Num);
       Req ("window_wall_s", Num);
@@ -78,7 +87,7 @@ let sched_curve_row =
 
 let bench_sched =
   Obj
-    [ Req ("schema", Str_const "fpan-bench-sched/2");
+    [ Req ("schema", Str_const "fpan-bench-sched/3");
       Req ("kernel", Str);
       Req ("bits", Int);
       Req ("n", Int);
@@ -86,9 +95,14 @@ let bench_sched =
       Req ("tile_n", Int);
       Req ("reps", Int);
       Req ("seq_wall_s", Num);
+      Req ("seq_spread", spread);
       Req ("seq_gops", Num);
       Req ("curve", List sched_curve_row);
-      Opt ("tile_sweep", List (Obj [ Req ("tile", Int); Req ("wall_s", Num); Req ("gops", Num) ]));
+      Opt
+        ( "tile_sweep",
+          List
+            (Obj [ Req ("tile", Int); Req ("wall_s", Num); Req ("spread", spread); Req ("gops", Num) ])
+        );
       Opt ("obs", Obj [ Req ("trace_summary", Str); Req ("chrome_trace", Str) ]) ]
 
 (* --- CHECK_report.json (fpan-check/1) ------------------------------- *)
@@ -336,7 +350,9 @@ let serve_adaptive_block =
       Req ("escalation_histogram", serve_escalation_histogram);
       Req ("escalations", Int);
       Req ("sla_throughput_rps", Num);
+      Req ("sla_spread", spread);
       Req ("mf4_throughput_rps", Num);
+      Req ("mf4_spread", spread);
       Req ("speedup_vs_mf4", Num);
       Req
         ( "fuzz",
@@ -363,11 +379,12 @@ let bench_serve =
       Req ("batching_speedup", num_or_null);
       Opt ("adaptive", serve_adaptive_block) ]
 
-(* --- BENCH_fuse.json (fpan-bench-fuse/1) ---------------------------- *)
+(* --- BENCH_fuse.json (fpan-bench-fuse/2) ---------------------------- *)
 
 (* Cross-op fusion ablation: each cell times one fused wire-program
    kernel against its op-by-op composition ("ablation-fusion") and
-   records that the two paths agreed bitwise. *)
+   records that the two paths agreed bitwise.  Walls are medians, each
+   with its spread. *)
 let fuse_cell =
   Obj
     [ Req ("kernel", Str);
@@ -376,7 +393,9 @@ let fuse_cell =
       Req ("n", Int);
       Req ("reps", Int);
       Req ("fused_wall_s", Num);
+      Req ("fused_spread", spread);
       Req ("unfused_wall_s", Num);
+      Req ("unfused_spread", spread);
       Req ("speedup", Num);
       Req ("bitwise_equal", Bool) ]
 
@@ -386,13 +405,15 @@ let fuse_refine =
       Req ("n", Int);
       Req ("iterations", Int);
       Req ("fused_iter_s", Num);
+      Req ("fused_spread", spread);
       Req ("unfused_iter_s", Num);
+      Req ("unfused_spread", spread);
       Req ("speedup", Num);
       Req ("bitwise_equal", Bool) ]
 
 let bench_fuse =
   Obj
-    [ Req ("schema", Str_const "fpan-bench-fuse/1");
+    [ Req ("schema", Str_const "fpan-bench-fuse/2");
       Req ("mode", Str_const "ablation-fusion");
       Req ("workers", Int);
       Req ("cells", List fuse_cell);
@@ -477,8 +498,11 @@ let trace_summary =
         ( "overhead",
           Obj
             [ Req ("untraced_wall_s", Num);
+              Req ("untraced_spread", spread);
               Req ("traced_wall_s", Num);
-              Req ("overhead_pct", Num) ] ) ]
+              Req ("traced_spread", spread);
+              Req ("overhead_pct", Num);
+              Req ("window_wall_s", Num) ] ) ]
 
 (* Chrome trace files are externally specified; we still pin the
    envelope and the event fields we rely on. *)

@@ -2,6 +2,9 @@
     emits.  One place to update on intentional shape changes;
     test/test_json_schemas.ml validates the real artifacts. *)
 
+val spread : Schema.t
+(** [Obs.Sample.to_json]: the [spread] beside a median. *)
+
 val worker_row : Schema.t
 (** Per-worker telemetry row ([Runtime.Sched.stats_json]). *)
 
@@ -9,7 +12,7 @@ val bench_fig : Schema.t
 (** [BENCH_fig9.json], [BENCH_fig10.json], [BENCH_fig11.json]. *)
 
 val bench_sched : Schema.t
-(** [BENCH_sched.json], schema id [fpan-bench-sched/2]. *)
+(** [BENCH_sched.json], schema id [fpan-bench-sched/3]. *)
 
 val check_report : Schema.t
 (** [CHECK_report.json], schema id [fpan-check/1]. *)
@@ -37,7 +40,7 @@ val bench_serve : Schema.t
 
 val bench_fuse : Schema.t
 (** [BENCH_fuse.json], the cross-op fusion ablation, schema id
-    [fpan-bench-fuse/1]. *)
+    [fpan-bench-fuse/2]. *)
 
 val chaos_report : Schema.t
 (** [CHAOS_report.json], the fault-injection campaign artifact, schema

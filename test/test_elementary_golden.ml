@@ -219,7 +219,7 @@ module B3 = Bitwise (Multifloat.Mf3) (Multifloat.Batch.Mf3v)
 module B4 = Bitwise (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
 
 (* Same obligation through the generic Of_scalar planar storage (the
-   path types without hand-inlined kernels take). *)
+   path types without generated planar kernels take). *)
 module G2 = Bitwise (Multifloat.Mf2) (Multifloat.Batch.Of_scalar (Multifloat.Mf2))
 module G3 = Bitwise (Multifloat.Mf3) (Multifloat.Batch.Of_scalar (Multifloat.Mf3))
 module G4 = Bitwise (Multifloat.Mf4) (Multifloat.Batch.Of_scalar (Multifloat.Mf4))

@@ -23,21 +23,30 @@ let test_bench_figs () =
     (fun f -> validate_file f Obs.Schemas.bench_fig (artifact f))
     [ "BENCH_fig9.json"; "BENCH_fig10.json"; "BENCH_fig11.json" ]
 
+let num k v = Option.get (Option.bind (J.member k v) J.to_num)
+let list k v = Option.get (Option.bind (J.member k v) J.to_list)
+let parse path = J.parse_file (artifact path) |> Result.get_ok
+
+(* Telemetry rows that cover exactly a timed window: no worker can have
+   been busy for longer than the window's wall time. *)
+let check_busy_within ~name ~window rows =
+  let workers = Float.of_int (List.length rows) in
+  let busy = List.fold_left (fun acc row -> acc +. num "busy_seconds" row) 0.0 rows in
+  if busy > workers *. window *. 1.05 then
+    Alcotest.failf "%s: %g workers busy %.4f s in a %.4f s window" name workers busy window
+
 (* Beyond the schema: each curve point's telemetry covers exactly its
-   timed reps, so no worker can have been busy for longer than the
-   window's wall time. *)
+   timed reps, and its median wall comes with the spread of all of
+   them. *)
 let test_bench_sched () =
-  let path = artifact "BENCH_sched.json" in
-  validate_file "BENCH_sched.json" Obs.Schemas.bench_sched path;
-  let doc = J.parse_file path |> Result.get_ok in
-  let num k v = Option.get (Option.bind (J.member k v) J.to_num) in
-  let list k v = Option.get (Option.bind (J.member k v) J.to_list) in
+  validate_file "BENCH_sched.json" Obs.Schemas.bench_sched (artifact "BENCH_sched.json");
+  let doc = parse "BENCH_sched.json" in
   List.iter
     (fun point ->
-      let workers = num "workers" point and window = num "window_wall_s" point in
-      let busy = List.fold_left (fun acc row -> acc +. num "busy_seconds" row) 0.0 (list "telemetry" point) in
-      if busy > workers *. window *. 1.05 then
-        Alcotest.failf "BENCH_sched.json: %g workers busy %.4f s in a %.4f s window" workers busy window)
+      check_busy_within ~name:"BENCH_sched.json" ~window:(num "window_wall_s" point)
+        (list "telemetry" point);
+      Alcotest.(check (float 0.0)) "spread.n = reps" (num "reps" doc)
+        (num "n" (Option.get (J.member "spread" point))))
     (list "curve" doc)
 
 let test_bench_serve () =
@@ -181,6 +190,23 @@ let test_trace_artifacts () =
   validate_file "BENCH_sched_chrome_trace.json" Obs.Schemas.chrome_trace
     (artifact "BENCH_sched_chrome_trace.json")
 
+(* The trace summaries' scheduler telemetry covers the same timed reps
+   as their wall window: [overhead.window_wall_s] for fpan_tool trace,
+   and for bench-sched --obs the window of the curve point whose
+   telemetry the summary carries verbatim (the last). *)
+let test_trace_windows () =
+  let trace = parse "TRACE_gemm.json" in
+  check_busy_within ~name:"TRACE_gemm.json"
+    ~window:(num "window_wall_s" (Option.get (J.member "overhead" trace)))
+    (list "sched" trace);
+  let summary = parse "BENCH_sched_trace.json" in
+  let last = List.rev (list "curve" (parse "BENCH_sched.json")) |> List.hd in
+  Alcotest.(check string) "summary sched rows = last curve point's telemetry"
+    (J.to_string (Option.get (J.member "telemetry" last)))
+    (J.to_string (Option.get (J.member "sched" summary)));
+  check_busy_within ~name:"BENCH_sched_trace.json" ~window:(num "window_wall_s" last)
+    (list "sched" summary)
+
 let test_check_report () =
   let cfg = { Check.Fuzz.default with Check.Fuzz.cases = 40; tiers = [ 2 ]; max_findings = 2 } in
   let report = Check.Fuzz.run cfg in
@@ -203,11 +229,16 @@ let test_trace_summary () =
         Runtime.Sched.parallel_for rt ~lo:0 ~hi:64 (fun _ _ -> ());
         Runtime.Sched.stats_json (Runtime.Sched.stats rt))
   in
+  let spread = Obs.Sample.to_json (Obs.Sample.summarize [| 1.0; 1.02; 0.99 |]) in
+  S.check ~name:"spread" Obs.Schemas.spread spread;
   let overhead =
     J.Obj
       [ ("untraced_wall_s", J.Num 1.0);
+        ("untraced_spread", spread);
         ("traced_wall_s", J.Num 1.01);
-        ("overhead_pct", J.Num 1.0) ]
+        ("traced_spread", spread);
+        ("overhead_pct", J.Num 1.0);
+        ("window_wall_s", J.Num 3.01) ]
   in
   let summary =
     Obs.Export.summary ~workload:"schema-test" ~sched ~extra:[ ("overhead", overhead) ] ~spans
@@ -248,6 +279,7 @@ let () =
           Alcotest.test_case "VERIFY_core.json" `Quick test_verify_certificate;
           Alcotest.test_case "CHAOS_report.json" `Quick test_chaos_report;
           Alcotest.test_case "TRACE_gemm(_chrome).json" `Quick test_trace_artifacts;
+          Alcotest.test_case "trace telemetry windows" `Quick test_trace_windows;
           Alcotest.test_case "CHECK report (in-process)" `Quick test_check_report;
           Alcotest.test_case "TRACE summary (in-process)" `Quick test_trace_summary ] );
       ( "validator",

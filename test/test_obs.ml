@@ -399,6 +399,69 @@ let test_fuzz_counters () =
         (Float.of_int (r.Check.Fuzz.scalar_cases + r.Check.Fuzz.vector_cases))
         tier.T.arg)
 
+(* --- Sample ------------------------------------------------------- *)
+
+module Sm = Obs.Sample
+
+(* Quartiles under linear interpolation between closest ranks, worked
+   by hand: sorted [1 2 3 4 5] puts q1/median/q3 at ranks 1/2/3 exactly;
+   sorted [1 2 3 4] puts them at positions 0.75/1.5/2.25. *)
+let test_sample_quartiles () =
+  let exact = Alcotest.float 0.0 in
+  let odd = Sm.summarize [| 5.0; 1.0; 4.0; 2.0; 3.0 |] in
+  Alcotest.check exact "odd median" 3.0 odd.Sm.median;
+  Alcotest.check exact "odd q1" 2.0 odd.Sm.q1;
+  Alcotest.check exact "odd q3" 4.0 odd.Sm.q3;
+  Alcotest.(check int) "odd n" 5 odd.Sm.n;
+  Alcotest.check exact "odd total" 15.0 odd.Sm.total;
+  let even_xs = [| 4.0; 1.0; 3.0; 2.0 |] in
+  let even = Sm.summarize even_xs in
+  Alcotest.check exact "even median" 2.5 even.Sm.median;
+  Alcotest.check exact "even q1" 1.75 even.Sm.q1;
+  Alcotest.check exact "even q3" 3.25 even.Sm.q3;
+  Alcotest.check exact "even total" 10.0 even.Sm.total;
+  Alcotest.check exact "p0 is the minimum" 1.0 (Sm.quantile even_xs 0.0);
+  Alcotest.check exact "p1 is the maximum" 4.0 (Sm.quantile even_xs 1.0);
+  Alcotest.(check (float 1e-12)) "p90" 3.7 (Sm.quantile even_xs 0.9);
+  Alcotest.(check (array (float 0.0))) "input not reordered" [| 4.0; 1.0; 3.0; 2.0 |] even_xs;
+  Alcotest.(check bool) "no samples" true (Float.is_nan (Sm.quantile [||] 0.5));
+  Alcotest.check exact "single sample" 7.0 (Sm.quantile [| 7.0 |] 0.25);
+  (* a rate's spread is the wall spread mapped through work / wall *)
+  match J.member "q1" (Sm.to_json ~work:13.0 even), J.member "q3" (Sm.to_json ~work:13.0 even) with
+  | Some (J.Num q1), Some (J.Num q3) ->
+      Alcotest.check exact "rate q1" (13.0 /. 3.25) q1;
+      Alcotest.check exact "rate q3" (13.0 /. 1.75) q3
+  | _ -> Alcotest.fail "spread lacks q1/q3"
+
+(* The call order of [time]: one untimed warmup, then the hook, then
+   the timed reps; the result is the last rep's. *)
+let test_sample_time_protocol () =
+  let log = ref [] and calls = ref 0 in
+  let spin_ms () =
+    let t0 = Obs.Clock.now_ns () in
+    while Obs.Clock.now_ns () -. t0 < 1e6 do () done
+  in
+  let f () =
+    incr calls;
+    log := `Call !calls :: !log;
+    spin_ms ();
+    !calls
+  in
+  let t0 = Obs.Clock.now_ns () in
+  let s, last = Sm.time ~reps:4 ~after_warmup:(fun () -> log := `Hook :: !log) f in
+  let outer = (Obs.Clock.now_ns () -. t0) *. 1e-9 in
+  Alcotest.(check bool) "warmup, hook, then 4 timed calls" true
+    (List.rev !log = [ `Call 1; `Hook; `Call 2; `Call 3; `Call 4; `Call 5 ]);
+  Alcotest.(check int) "result of the last rep" 5 last;
+  Alcotest.(check int) "n = reps" 4 s.Sm.n;
+  (* every rep spins >= 1 ms, and the reps fit inside the outer window *)
+  Alcotest.(check bool) "q1 >= 1 ms" true (s.Sm.q1 >= 1e-3);
+  Alcotest.(check bool) "total >= 4 ms" true (s.Sm.total >= 4e-3);
+  Alcotest.(check bool) "total <= outer wall" true (s.Sm.total <= outer);
+  Alcotest.(check bool) "quartiles ordered" true (s.Sm.q1 <= s.Sm.median && s.Sm.median <= s.Sm.q3);
+  Alcotest.check_raises "reps = 0 is refused" (Invalid_argument "Obs.Sample.time: reps = 0 < 1")
+    (fun () -> ignore (Sm.time ~reps:0 (fun () -> ())))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -420,4 +483,7 @@ let () =
         [ Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
           Alcotest.test_case "traced gemm vs sched telemetry" `Quick
             test_traced_gemm_agrees_with_sched;
-          Alcotest.test_case "fuzz counters" `Quick test_fuzz_counters ] ) ]
+          Alcotest.test_case "fuzz counters" `Quick test_fuzz_counters ] );
+      ( "sample",
+        [ Alcotest.test_case "quartiles by hand" `Quick test_sample_quartiles;
+          Alcotest.test_case "time: warmup, hook, reps" `Quick test_sample_time_protocol ] ) ]
