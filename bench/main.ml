@@ -359,6 +359,7 @@ let write_table_json ?(extra = []) ~file ~experiment ~note tables =
       [ ("experiment", Json_out.Str experiment);
         ("units", Json_out.Str "Gop/s");
         ("note", Json_out.Str note);
+        ("isa", Json_out.Str (Multifloat.Batch.isa ()));
         ("tables", json_of_tables tables) ]
       @ (if speedups = [] then [] else [ ("layout_speedup", Json_out.List speedups) ])
       @ extra
@@ -393,7 +394,9 @@ let sched_telemetry_block () =
             ("bits", Json_out.Num 103.0);
             ("n", Json_out.Num (Float.of_int n));
             ("workers", Json_out.Num (Float.of_int workers));
-            ("tile", Json_out.Str "32x32");
+            ( "tile",
+              let cfg = Runtime.Engine.default_cfg in
+              Json_out.Str (Printf.sprintf "%dx%d" cfg.tile_m cfg.tile_n) );
             ("wall_s", Json_out.Num wall.median);
             ("spread", Obs.Sample.to_json wall);
             ("window_wall_s", Json_out.Num wall.total);
@@ -813,7 +816,8 @@ let () =
     else args
   in
   let want x = List.mem x selected in
-  Printf.printf "MultiFloats benchmark harness (min window per cell: %.2fs)\n" !min_time;
+  Printf.printf "MultiFloats benchmark harness (min window per cell: %.2fs, planar kernels %s)\n"
+    !min_time (Multifloat.Batch.isa ());
   if want "counts" then counts ();
   if want "accuracy" then accuracy ();
   let fig9_results = if want "fig9" || want "fig8" then fig9 () else [] in

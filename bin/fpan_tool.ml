@@ -285,8 +285,8 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
     (s, K.vec_to_floats c)
   in
   let gops dt = Float.of_int ops /. dt *. 1e-9 in
-  Printf.printf "bench-sched: %d-bit GEMM, n = %d, tile %dx%d, median of %d\n" B.bits n (fst tile)
-    (snd tile) reps;
+  Printf.printf "bench-sched: %d-bit GEMM, n = %d, tile %dx%d, median of %d, kernels %s\n" B.bits n
+    (fst tile) (snd tile) reps (Multifloat.Batch.isa ());
   let seq, ref_c = time_gemm (fun c -> K.gemm ~m:n ~n ~k:n ~a ~b ~c) in
   let t_seq = seq.median in
   Printf.printf "  sequential batched kernel: %.4f s  (%.4f Gop/s)\n" t_seq (gops t_seq);
@@ -430,7 +430,8 @@ let bench_sched_cmd =
     let print ppf (tm, tn) = Format.fprintf ppf "%dx%d" tm tn in
     Arg.(
       value
-      & opt (conv (parse, print)) (32, 32)
+      & opt (conv (parse, print))
+          (Runtime.Engine.default_cfg.tile_m, Runtime.Engine.default_cfg.tile_n)
       & info [ "tile" ] ~docv:"MxN" ~doc:"GEMM tile size (e.g. 32 or 32x64).")
   in
   let sweep_arg =
@@ -2064,8 +2065,8 @@ struct
     let rand_vec len =
       Vb.of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))
     in
-    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, median of %d\n"
-      M.precision_bits n nref reps;
+    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, median of %d, kernels %s\n"
+      M.precision_bits n nref reps (Multifloat.Batch.isa ());
     let time f = Obs.Sample.time ~reps f in
     let mismatches = ref 0 in
     let cell ~kernel ~unfused ~len ~(t_f : Obs.Sample.summary) ~(t_u : Obs.Sample.summary)

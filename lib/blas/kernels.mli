@@ -92,7 +92,7 @@ module Make_batched (N : Numeric.BATCHED) : sig
     c:V.t ->
     unit ->
     unit
-  (** [C <- C + A B], cache-blocked over [?tile] (default 32x32) with
+  (** [C <- C + A B], cache-blocked over [?tile] (default 64x64) with
       each tile a stealable task. *)
 
   val axpy_dot_rt : Runtime.Sched.t -> alpha:N.t -> x:V.t -> y:V.t -> w:V.t -> N.t

@@ -15,12 +15,45 @@
 let spf = Printf.sprintf
 let bpf = Printf.bprintf
 
+(* The two target languages differ only in how a value is bound and how
+   the operators are spelled; the gate expansions below are shared, so
+   the OCaml and C kernels perform the same operations on the same
+   operands in the same order. *)
+type syntax = {
+  bind : string -> string -> string;  (** [bind name expr]: one line *)
+  add : string;
+  sub : string;
+  mul : string;
+  neg : string;  (** prefix negation *)
+  fma_neg : string -> string -> string -> string;  (** [a * b - c], rounded once *)
+}
+
+let ml =
+  {
+    bind = (fun n e -> spf "let %s = %s in" n e);
+    add = "+.";
+    sub = "-.";
+    mul = "*.";
+    neg = "-. ";
+    fma_neg = (fun a b c -> spf "Float.fma %s %s (-. %s)" a b c);
+  }
+
+let c =
+  {
+    bind = (fun n e -> spf "const double %s = %s;" n e);
+    add = "+";
+    sub = "-";
+    mul = "*";
+    neg = "-";
+    fma_neg = (fun a b c -> spf "fma(%s, %s, -%s)" a b c);
+  }
+
 (* [~dekker:true] emits every TwoProd as the Veltkamp-Dekker split
    instead of the FMA form, operation for operation
    [Eft.two_prod_dekker] (split temporaries take the letters k/h/l;
    2^27 + 1 is Veltkamp's splitting constant for p = 53). *)
-let emit_program ?(dekker = false) buf ~indent ~prefix (p : Ir.t) ~(args : string array) :
-    string array =
+let emit_program ?(syn = ml) ?(dekker = false) buf ~indent ~prefix (p : Ir.t)
+    ~(args : string array) : string array =
   if Array.length args <> p.Ir.num_inputs then
     invalid_arg
       (spf "Fpan_ir.Codegen.emit_program: %s wants %d args, got %d" p.Ir.name p.Ir.num_inputs
@@ -32,75 +65,76 @@ let emit_program ?(dekker = false) buf ~indent ~prefix (p : Ir.t) ~(args : strin
     spf "%s%s%d" prefix letter !k
   in
   let v = function Ir.In i -> args.(i) | Ir.Res (g, port) -> names.(g).(port) in
-  let line l =
+  let line n e =
     Buffer.add_string buf indent;
-    Buffer.add_string buf l;
+    Buffer.add_string buf (syn.bind n e);
     Buffer.add_char buf '\n'
   in
+  let ( +! ) a b = spf "%s %s %s" a syn.add b
+  and ( -! ) a b = spf "%s %s %s" a syn.sub b
+  and ( *! ) a b = spf "%s %s %s" a syn.mul b
+  and par e = "(" ^ e ^ ")" in
   Array.iteri
     (fun i g ->
       match g with
       | Ir.Two_sum (a, b) ->
           let a = v a and b = v b in
           let s = fresh "s" in
-          line (spf "let %s = %s +. %s in" s a b);
+          line s (a +! b);
           let t = fresh "t" in
-          line (spf "let %s = %s -. %s in" t s b);
+          line t (s -! b);
           let e = fresh "e" in
-          line (spf "let %s = (%s -. %s) +. (%s -. (%s -. %s)) in" e a t b s t);
+          line e (par (a -! t) +! par (b -! par (s -! t)));
           names.(i) <- [| s; e |]
       | Ir.Fast_two_sum (a, b) ->
           let a = v a and b = v b in
           let s = fresh "s" in
-          line (spf "let %s = %s +. %s in" s a b);
+          line s (a +! b);
           let e = fresh "e" in
-          line (spf "let %s = %s -. (%s -. %s) in" e b s a);
+          line e (b -! par (s -! a));
           names.(i) <- [| s; e |]
       | Ir.Two_prod (a, b) when dekker ->
           let a = v a and b = v b in
           let pr = fresh "p" in
-          line (spf "let %s = %s *. %s in" pr a b);
+          line pr (a *! b);
           let split x =
             let k = fresh "k" in
-            line (spf "let %s = %h *. %s in" k 134217729.0 x);
+            line k (spf "%h" 134217729.0 *! x);
             let h = fresh "h" in
-            line (spf "let %s = %s -. (%s -. %s) in" h k k x);
+            line h (k -! par (k -! x));
             let l = fresh "l" in
-            line (spf "let %s = %s -. %s in" l x h);
+            line l (x -! h);
             (h, l)
           in
           let ah, al = split a in
           let bh, bl = split b in
           let e = fresh "e" in
-          line
-            (spf "let %s = ((((%s *. %s) -. %s) +. (%s *. %s)) +. (%s *. %s)) +. (%s *. %s) in" e ah
-               bh pr ah bl al bh al bl);
+          line e
+            (par (par (par (par (ah *! bh) -! pr) +! par (ah *! bl)) +! par (al *! bh))
+            +! par (al *! bl));
           names.(i) <- [| pr; e |]
       | Ir.Two_prod (a, b) ->
           let a = v a and b = v b in
           let pr = fresh "p" in
-          line (spf "let %s = %s *. %s in" pr a b);
+          line pr (a *! b);
           let e = fresh "e" in
-          line (spf "let %s = Float.fma %s %s (-. %s) in" e a b pr);
+          line e (syn.fma_neg a b pr);
           names.(i) <- [| pr; e |]
       | Ir.Add (a, b) ->
-          let a = v a and b = v b in
           let n = fresh "a" in
-          line (spf "let %s = %s +. %s in" n a b);
+          line n (v a +! v b);
           names.(i) <- [| n |]
       | Ir.Mul (a, b) ->
-          let a = v a and b = v b in
           let n = fresh "m" in
-          line (spf "let %s = %s *. %s in" n a b);
+          line n (v a *! v b);
           names.(i) <- [| n |]
       | Ir.Neg a ->
-          let a = v a in
           let n = fresh "n" in
-          line (spf "let %s = -. %s in" n a);
+          line n (syn.neg ^ v a);
           names.(i) <- [| n |]
       | Ir.Const c ->
           let n = fresh "c" in
-          line (spf "let %s = %h in" n c);
+          line n (spf "%h" c);
           names.(i) <- [| n |])
     p.Ir.gates;
   Array.map v p.Ir.outputs
@@ -109,7 +143,25 @@ let emit_program ?(dekker = false) buf ~indent ~prefix (p : Ir.t) ~(args : strin
 
 type tier = { t : int; mf : string }
 
+(* The native-double row ([Mf1v]; its element is a bare float, so no
+   [Mf1] module is named): its OCaml loops are a fixed template (see
+   [mf1v]), its C loops come from the same templates as the expansion
+   tiers, over one-gate programs. *)
+let tier1 = { t = 1; mf = "Mf1" }
+
 let tiers = [ { t = 2; mf = "Mf2" }; { t = 3; mf = "Mf3" }; { t = 4; mf = "Mf4" } ]
+
+(* Elements per C block: the unit an elementwise C loop stores or
+   declines (NaN fallback), and the staging width of the folds. *)
+let block = 64
+
+let one_gate name gate =
+  let b = Ir.B.create ~num_inputs:2 in
+  let g = Ir.B.push b (gate (Ir.In 0) (Ir.In 1)) in
+  Ir.B.finish b ~name ~outputs:[| Ir.Res (g, 0) |]
+
+let add_prog t = if t = 1 then one_gate "add1" (fun a b -> Ir.Add (a, b)) else Front.add_kernel t
+let mul_prog t = if t = 1 then one_gate "mul1" (fun a b -> Ir.Mul (a, b)) else Front.mul_kernel t
 
 let seq t f = List.init t f
 let cat sep t f = String.concat sep (seq t f)
@@ -152,13 +204,12 @@ let acc_stores buf tr (outs : string array) =
 
 let of_accs tr = spf "%s.of_components [| %s |]" tr.mf (cat "; " tr.t (fun k -> spf "!acc%d" k))
 
-(* add / sub / mul: dst-writing elementwise kernels *)
+(* add / sub / mul: a range loop ([_span], what the NaN fallback
+   recomputes) and the checked whole-vector [_ml] loop over it *)
 let emit_ew buf tr ~name ~prog ~neg_y =
-  bpf buf "  let %s ~dst a b =\n" name;
-  bpf buf "    check2 \"Batch.%s\" a b;\n" name;
-  bpf buf "    check2 \"Batch.%s\" a dst;\n" name;
+  bpf buf "  let %s_span ~dst a b lo hi =\n" name;
   bpf buf "    %s\n" (hoist tr [ ("a", "a"); ("b", "b"); ("d", "dst") ]);
-  bpf buf "    for i = 0 to a.n - 1 do\n";
+  bpf buf "    for i = lo to hi - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"i" ~neg:neg_y;
   let outs =
@@ -166,10 +217,14 @@ let emit_ew buf tr ~name ~prog ~neg_y =
       ~args:(Array.append (names "x" tr) (names "y" tr))
   in
   stores buf tr ~plane:"d" ~idx:"i" outs;
-  bpf buf "      ()\n    done\n"
+  bpf buf "      ()\n    done\n\n";
+  bpf buf "  let %s_ml ~dst a b =\n" name;
+  bpf buf "    check2 \"Batch.%s\" a b;\n" name;
+  bpf buf "    check2 \"Batch.%s\" a dst;\n" name;
+  bpf buf "    %s_span ~dst a b 0 a.n\n" name
 
 let emit_axpy buf tr =
-  bpf buf "  let axpy ~lo ~hi ~alpha ~x ~y =\n";
+  bpf buf "  let axpy_ml ~lo ~hi ~alpha ~x ~y =\n";
   bpf buf "    check2 \"Batch.axpy\" x y;\n";
   bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy\";\n";
   scalar_hoist buf tr ~arr:"al" ~local:"al" ~expr:"alpha";
@@ -189,7 +244,7 @@ let emit_axpy buf tr =
   bpf buf "      ()\n    done\n"
 
 let emit_madd buf tr =
-  bpf buf "  let madd ~alpha ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "  let madd_ml ~alpha ~x ~xoff ~y ~yoff ~len =\n";
   bpf buf "    check_range \"Batch.madd\" x ~off:xoff ~len;\n";
   bpf buf "    check_range \"Batch.madd\" y ~off:yoff ~len;\n";
   scalar_hoist buf tr ~arr:"al" ~local:"al" ~expr:"alpha";
@@ -225,7 +280,7 @@ let emit_dot_loop buf tr =
   bpf buf "      ()\n    done"
 
 let emit_dot buf tr =
-  bpf buf "  let dot ~init ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "  let dot_ml ~init ~x ~xoff ~y ~yoff ~len =\n";
   bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
   bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
   bpf buf "    let ic = %s.components init in\n" tr.mf;
@@ -235,7 +290,7 @@ let emit_dot buf tr =
   bpf buf ";\n    %s\n" (of_accs tr)
 
 let emit_sum buf tr =
-  bpf buf "  let sum ~init ~x ~xoff ~len =\n";
+  bpf buf "  let sum_ml ~init ~x ~xoff ~len =\n";
   bpf buf "    check_range \"Batch.sum\" x ~off:xoff ~len;\n";
   bpf buf "    let ic = %s.components init in\n" tr.mf;
   acc_init buf tr ~from:(Some "ic");
@@ -250,24 +305,28 @@ let emit_sum buf tr =
   bpf buf "      ()\n    done;\n";
   bpf buf "    %s\n" (of_accs tr)
 
+(* the staged subtraction behind a dot accumulator [acc]: b - acc *)
+let emit_residual_tail buf tr ~indent ~acc =
+  bpf buf "%slet bc = %s.components b in\n" indent tr.mf;
+  bpf buf "%slet %s in\n" indent (cat " and " tr.t (fun k -> spf "bb%d = bc.(%d)" k k));
+  let outs =
+    emit_program buf ~indent ~prefix:"r" (Front.sub_kernel tr.t)
+      ~args:(Array.append (names "bb" tr) acc)
+  in
+  bpf buf "%s%s.of_components [| %s |]\n" indent tr.mf (String.concat "; " (Array.to_list outs))
+
 let emit_dot_sub buf tr =
-  bpf buf "  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "  let dot_sub_ml ~b ~x ~xoff ~y ~yoff ~len =\n";
   bpf buf "    check_range \"Batch.dot_sub\" x ~off:xoff ~len;\n";
   bpf buf "    check_range \"Batch.dot_sub\" y ~off:yoff ~len;\n";
   acc_init buf tr ~from:None;
   bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
   emit_dot_loop buf tr;
   bpf buf ";\n";
-  bpf buf "    let bc = %s.components b in\n" tr.mf;
-  bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "bb%d = bc.(%d)" k k));
-  let outs =
-    emit_program buf ~indent:"    " ~prefix:"r" (Front.sub_kernel tr.t)
-      ~args:(Array.append (names "bb" tr) (acc_names tr))
-  in
-  bpf buf "    %s.of_components [| %s |]\n" tr.mf (String.concat "; " (Array.to_list outs))
+  emit_residual_tail buf tr ~indent:"    " ~acc:(acc_names tr)
 
 let emit_axpy_dot buf tr =
-  bpf buf "  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
+  bpf buf "  let axpy_dot_ml ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
   bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
   bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
   bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
@@ -307,7 +366,127 @@ let emit_transpose buf tr =
   for k = 0 to tr.t - 1 do
     bpf buf ";\n    transpose_plane ~m ~n src.c%d dst.c%d" k k
   done;
-  bpf buf "\nend\n"
+  bpf buf "\n"
+
+(* --- the C kernels' OCaml side --------------------------------------- *)
+
+(* Every C loop of a tier: its name, its OCaml type and its value
+   parameters in order.  The externals and the C definitions are both
+   rendered from this table, so they cannot disagree on arity. *)
+let c_ops =
+  let ew = ("t -> t -> t -> int -> int -> int", [ "dst"; "a"; "b"; "lo"; "hi" ]) in
+  [ ("add", ew); ("sub", ew); ("mul", ew);
+    ("axpy", ("float array -> t -> t -> int -> int -> int", [ "al"; "x"; "y"; "lo"; "hi" ]));
+    ( "madd",
+      ( "float array -> t -> int -> t -> int -> int -> int -> int",
+        [ "al"; "x"; "xoff"; "y"; "yoff"; "lo"; "hi" ] ) );
+    ( "dot",
+      ( "float array -> t -> int -> t -> int -> int -> int",
+        [ "acc"; "x"; "xoff"; "y"; "yoff"; "len" ] ) );
+    ("sum", ("float array -> t -> int -> int -> int", [ "acc"; "x"; "xoff"; "len" ]));
+    ( "axpy_dot",
+      ( "float array -> t -> t -> t -> float array -> int -> int -> int",
+        [ "al"; "x"; "y"; "w"; "acc"; "lo"; "hi" ] ) ) ]
+
+let stub tr op = spf "mf_batch%d_%s" tr.t op
+
+(* The bytecode interpreter passes a primitive more than 5 arguments as
+   an argv array, so wider stubs get a separate bytecode entry point. *)
+let max_direct_args = 5
+
+(* The component views a wrapper needs, spelled per tier. *)
+let comps tr e = if tr.t = 1 then spf "[| %s |]" e else spf "%s.components %s" tr.mf e
+let fresh_comps tr e = if tr.t = 1 then spf "[| %s |]" e else spf "Array.copy (%s.components %s)" tr.mf e
+let of_comps tr a = if tr.t = 1 then spf "%s.(0)" a else spf "%s.of_components %s" tr.mf a
+
+(* The elementwise wrapper loop: run the C loop from [!i]; it returns [hi]
+   when done, else the start of a block holding a NaN output, which the
+   OCaml loop recomputes before the C loop resumes after it. *)
+let drive buf ~indent ~lo ~hi ~call ~ml =
+  bpf buf "%slet i = ref %s in\n" indent lo;
+  bpf buf "%swhile !i < %s do\n" indent hi;
+  bpf buf "%s  let j = %s in\n" indent call;
+  bpf buf "%s  let k = min %s (j + block) in\n" indent hi;
+  bpf buf "%s  if j < %s then %s;\n" indent hi ml;
+  bpf buf "%s  i := k\n" indent;
+  bpf buf "%sdone\n" indent
+
+let emit_wrappers buf tr =
+  List.iter
+    (fun (op, (ty, params)) ->
+      if List.length params > max_direct_args then
+        bpf buf "  external %s_c : %s = \"%s_byte\" \"%s\" [@@noalloc]\n" op ty (stub tr op)
+          (stub tr op)
+      else bpf buf "  external %s_c : %s = \"%s\" [@@noalloc]\n" op ty (stub tr op))
+    c_ops;
+  List.iter
+    (fun op ->
+      bpf buf "\n  let %s ~dst a b =\n" op;
+      bpf buf "    check2 \"Batch.%s\" a b;\n" op;
+      bpf buf "    check2 \"Batch.%s\" a dst;\n" op;
+      drive buf ~indent:"    " ~lo:"0" ~hi:"a.n" ~call:(spf "%s_c dst a b !i a.n" op)
+        ~ml:(spf "%s_span ~dst a b j k" op))
+    [ "add"; "sub"; "mul" ];
+  bpf buf "\n  let axpy ~lo ~hi ~alpha ~x ~y =\n";
+  bpf buf "    check2 \"Batch.axpy\" x y;\n";
+  bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy\";\n";
+  bpf buf "    let al = %s in\n" (comps tr "alpha");
+  drive buf ~indent:"    " ~lo:"lo" ~hi:"hi" ~call:"axpy_c al x y !i hi"
+    ~ml:"axpy_ml ~lo:j ~hi:k ~alpha ~x ~y";
+  bpf buf "\n  let madd ~alpha ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "    check_range \"Batch.madd\" x ~off:xoff ~len;\n";
+  bpf buf "    check_range \"Batch.madd\" y ~off:yoff ~len;\n";
+  bpf buf "    (* one vector at two offsets: element i may read what an\n";
+  bpf buf "       earlier element wrote, which a C block does not see *)\n";
+  bpf buf "    if x == y && xoff <> yoff then madd_ml ~alpha ~x ~xoff ~y ~yoff ~len\n";
+  bpf buf "    else begin\n";
+  bpf buf "      let al = %s in\n" (comps tr "alpha");
+  drive buf ~indent:"      " ~lo:"0" ~hi:"len" ~call:"madd_c al x xoff y yoff !i len"
+    ~ml:"madd_ml ~alpha ~x ~xoff:(xoff + j) ~y ~yoff:(yoff + j) ~len:(k - j)";
+  bpf buf "    end\n";
+  (* folds: the C loop stops before the first step whose accumulator
+     holds a NaN and returns the steps it took; the OCaml loop resumes
+     there from the accumulator it left *)
+  bpf buf "\n  let dot ~init ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
+  bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
+  bpf buf "    let acc = %s in\n" (fresh_comps tr "init");
+  bpf buf "    let j = dot_c acc x xoff y yoff len in\n";
+  bpf buf "    if j = len then %s\n" (of_comps tr "acc");
+  bpf buf "    else dot_ml ~init:(%s) ~x ~xoff:(xoff + j) ~y ~yoff:(yoff + j) ~len:(len - j)\n"
+    (of_comps tr "acc");
+  bpf buf "\n  let sum ~init ~x ~xoff ~len =\n";
+  bpf buf "    check_range \"Batch.sum\" x ~off:xoff ~len;\n";
+  bpf buf "    let acc = %s in\n" (fresh_comps tr "init");
+  bpf buf "    let j = sum_c acc x xoff len in\n";
+  bpf buf "    if j = len then %s\n" (of_comps tr "acc");
+  bpf buf "    else sum_ml ~init:(%s) ~x ~xoff:(xoff + j) ~len:(len - j)\n" (of_comps tr "acc");
+  bpf buf "\n  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "    check_range \"Batch.dot_sub\" x ~off:xoff ~len;\n";
+  bpf buf "    check_range \"Batch.dot_sub\" y ~off:yoff ~len;\n";
+  bpf buf "    let acc = [| %s |] in\n" (cat "; " tr.t (fun _ -> "0.0"));
+  bpf buf "    let j = dot_c acc x xoff y yoff len in\n";
+  bpf buf "    let acc =\n";
+  bpf buf "      if j = len then acc\n";
+  bpf buf "      else\n";
+  bpf buf "        %s\n"
+    (comps tr
+       (spf "(dot_ml ~init:(%s) ~x ~xoff:(xoff + j) ~y ~yoff:(yoff + j) ~len:(len - j))"
+          (of_comps tr "acc")));
+  bpf buf "    in\n";
+  if tr.t = 1 then bpf buf "    b -. acc.(0)\n"
+  else begin
+    bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "acc%d = acc.(%d)" k k));
+    emit_residual_tail buf tr ~indent:"    " ~acc:(names "acc" tr)
+  end;
+  bpf buf "\n  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
+  bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
+  bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
+  bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
+  bpf buf "    let acc = %s in\n" (fresh_comps tr "init");
+  bpf buf "    let j = axpy_dot_c (%s) x y w acc lo hi in\n" (comps tr "alpha");
+  bpf buf "    if j = hi then %s\n" (of_comps tr "acc");
+  bpf buf "    else axpy_dot_ml ~lo:j ~hi ~alpha ~x ~y ~w ~init:(%s)\n" (of_comps tr "acc")
 
 let emit_tier buf tr =
   bpf buf "module %sv = struct\n" tr.mf;
@@ -365,37 +544,61 @@ let emit_tier buf tr =
   bpf buf "\n";
   emit_axpy_dot buf tr;
   bpf buf "\n";
-  emit_transpose buf tr
+  emit_transpose buf tr;
+  bpf buf "\n";
+  emit_wrappers buf tr;
+  bpf buf "end\n"
 
 let header =
   {|(* Planar (structure-of-arrays) MultiFloat vectors: an n-element
-   2/3/4-term vector is stored as [terms] parallel unboxed
+   1/2/3/4-term vector is stored as [terms] parallel unboxed
    [floatarray]s, one per expansion component, instead of an OCaml
    array of boxed component records.
 
-   The batched operations below run the exact branch-free FPAN wire
-   sequences of [Mf2]/[Mf3]/[Mf4] element-wise over the planes, with
-   every TwoSum/FastTwoSum/TwoProd gate expanded to straight-line
-   float code (no tuple returns, no per-element heap allocation; OCaml
-   unboxes the local floats and float refs).  Gate order and operand
-   order are identical to the scalar kernels, so batched results are
-   bitwise equal to the scalar loops -- asserted by test/test_batch.ml.
+   The batched operations run the exact branch-free FPAN wire sequences
+   of [Mf2]/[Mf3]/[Mf4] element-wise over the planes: the paper's
+   cross-element vectorization (Section 5).  Branch-freedom makes the
+   element loop a fixed dataflow, and the planar layout feeds that
+   dataflow to SIMD lanes.  Every kernel is staged twice from the same
+   IR programs, gate for gate and operand for operand:
 
-   This is the OCaml stand-in for the paper's cross-element
-   autovectorization (Section 5): branch-freedom makes the element loop
-   a fixed dataflow, and the planar layout is what lets that dataflow
-   stream through the FPU without pointer chasing -- the same reason the
-   paper's AVX-512/NEON lanes want their operands planar.
+   - the C loops of batch_stubs.c, built with IEEE semantics intact (no
+     contraction, no fast-math) and dispatched at run time to an
+     AVX-512, an AVX2+FMA or a baseline clone ([isa] names the one in
+     use).  Every operation of the tiers below runs these loops;
+   - the OCaml loops ([_span], [_ml]): straight-line float code with no
+     tuple returns and no per-element heap allocation.
+
+   A C compiler may swap the operands of [+] and [*].  That changes
+   nothing on numbers, but it can change which NaN payload propagates.
+   So an elementwise C loop stores a 64-element block only when none
+   of its outputs is a NaN, and a C fold stops before the first step
+   whose accumulator is a NaN; the OCaml loop recomputes what the C
+   loop declined.  The OCaml loop also runs a [madd] whose source and
+   destination are one vector at two offsets.  NaN-free results are
+   bitwise equal by IEEE determinism, so batched results equal the
+   scalar kernels bit for bit, NaN payloads included -- asserted by
+   test/test_batch.ml.
 
    GENERATED by lib/fpan_ir/gen/gen_batch.ml: Fpan_ir.Front derives an
    IR program gate-for-gate from each Fpan.Networks network, and
    Fpan_ir.Codegen stages the (fused) programs as the straight-line
-   kernels below.  Do not edit this file by hand -- edit the generator
-   and run `dune runtest` (whose drift rule diffs this file against a
-   fresh regeneration), then `dune promote` to accept the new
-   output. *)
+   kernels below and in batch_stubs.c.  Do not edit this file by hand
+   -- edit the generator and run `dune runtest` (whose drift rule diffs
+   this file against a fresh regeneration), then `dune promote` to
+   accept the new output. *)
 
 module F = Float.Array
+
+|}
+
+(* The part of the header after [block]'s definition. *)
+let header_rest =
+  {|
+(* The SIMD clone the C kernels dispatched to on this CPU:
+   "x86-64-v4", "x86-64-v3" or "default" (x86-64 glibc builds), or
+   "portable" (one plain build everywhere else). *)
+external isa : unit -> string = "mf_batch_isa"
 
 (* Plane-level transpose helper shared by every vector size: dst is the
    column-major image of an m*n row-major plane.  Blocked 32x32 so both
@@ -509,7 +712,29 @@ module type V = sig
       [m*n]. *)
 end
 
-(* ------------------------------------------------------------------ *)
+(** A generated tier: the {!V} kernels run the C loops, and the [_ml]
+    operations are the OCaml loops they fall back to, with the same
+    contracts -- the bitwise reference the tests hold the C loops to. *)
+module type TIER = sig
+  include V
+
+  val add_ml : dst:t -> t -> t -> unit
+  val sub_ml : dst:t -> t -> t -> unit
+  val mul_ml : dst:t -> t -> t -> unit
+  val axpy_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
+  val madd_ml : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
+  val dot_ml : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
+  val sum_ml : init:elt -> x:t -> xoff:int -> len:int -> elt
+  val dot_sub_ml : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
+  val axpy_dot_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
+end
+
+|}
+
+(* The native-double tier's storage and OCaml loops; [batch_ml] appends
+   its C wrappers. *)
+let mf1v =
+  {|(* ------------------------------------------------------------------ *)
 (* 1-term vectors: native doubles in a single plane, so the 53-bit row
    of the benchmark tables runs through the same batched kernels.      *)
 
@@ -534,26 +759,35 @@ module Mf1v = struct
   let check_range name v ~off ~len =
     if off < 0 || len < 0 || off + len > v.n then invalid_arg name
 
-  let add ~dst a b =
-    check2 "Batch.add" a dst;
-    check2 "Batch.add" a b;
-    for i = 0 to a.n - 1 do
+  let add_span ~dst a b lo hi =
+    for i = lo to hi - 1 do
       F.unsafe_set dst.c0 i (F.unsafe_get a.c0 i +. F.unsafe_get b.c0 i)
     done
 
-  let sub ~dst a b =
-    check2 "Batch.sub" a dst;
-    check2 "Batch.sub" a b;
-    for i = 0 to a.n - 1 do
+  let add_ml ~dst a b =
+    check2 "Batch.add" a b;
+    check2 "Batch.add" a dst;
+    add_span ~dst a b 0 a.n
+
+  let sub_span ~dst a b lo hi =
+    for i = lo to hi - 1 do
       F.unsafe_set dst.c0 i (F.unsafe_get a.c0 i -. F.unsafe_get b.c0 i)
     done
 
-  let mul ~dst a b =
-    check2 "Batch.mul" a dst;
-    check2 "Batch.mul" a b;
-    for i = 0 to a.n - 1 do
+  let sub_ml ~dst a b =
+    check2 "Batch.sub" a b;
+    check2 "Batch.sub" a dst;
+    sub_span ~dst a b 0 a.n
+
+  let mul_span ~dst a b lo hi =
+    for i = lo to hi - 1 do
       F.unsafe_set dst.c0 i (F.unsafe_get a.c0 i *. F.unsafe_get b.c0 i)
     done
+
+  let mul_ml ~dst a b =
+    check2 "Batch.mul" a b;
+    check2 "Batch.mul" a dst;
+    mul_span ~dst a b 0 a.n
 
   let map ~dst f src =
     check2 "Batch.map" src dst;
@@ -568,14 +802,14 @@ module Mf1v = struct
       set dst i (f (get a i) (get b i))
     done
 
-  let axpy ~lo ~hi ~alpha ~x ~y =
+  let axpy_ml ~lo ~hi ~alpha ~x ~y =
     check2 "Batch.axpy" x y;
     if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy";
     for i = lo to hi - 1 do
       F.unsafe_set y.c0 i ((alpha *. F.unsafe_get x.c0 i) +. F.unsafe_get y.c0 i)
     done
 
-  let madd ~alpha ~x ~xoff ~y ~yoff ~len =
+  let madd_ml ~alpha ~x ~xoff ~y ~yoff ~len =
     check_range "Batch.madd" x ~off:xoff ~len;
     check_range "Batch.madd" y ~off:yoff ~len;
     for i = 0 to len - 1 do
@@ -583,7 +817,7 @@ module Mf1v = struct
         (F.unsafe_get y.c0 (yoff + i) +. (alpha *. F.unsafe_get x.c0 (xoff + i)))
     done
 
-  let dot ~init ~x ~xoff ~y ~yoff ~len =
+  let dot_ml ~init ~x ~xoff ~y ~yoff ~len =
     check_range "Batch.dot" x ~off:xoff ~len;
     check_range "Batch.dot" y ~off:yoff ~len;
     let acc = ref init in
@@ -592,7 +826,7 @@ module Mf1v = struct
     done;
     !acc
 
-  let sum ~init ~x ~xoff ~len =
+  let sum_ml ~init ~x ~xoff ~len =
     check_range "Batch.sum" x ~off:xoff ~len;
     let acc = ref init in
     for i = 0 to len - 1 do
@@ -600,7 +834,7 @@ module Mf1v = struct
     done;
     !acc
 
-  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =
+  let dot_sub_ml ~b ~x ~xoff ~y ~yoff ~len =
     check_range "Batch.dot_sub" x ~off:xoff ~len;
     check_range "Batch.dot_sub" y ~off:yoff ~len;
     let acc = ref 0.0 in
@@ -609,7 +843,7 @@ module Mf1v = struct
     done;
     b -. !acc
 
-  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =
+  let axpy_dot_ml ~lo ~hi ~alpha ~x ~y ~w ~init =
     check2 "Batch.axpy_dot" x y;
     check2 "Batch.axpy_dot" x w;
     if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy_dot";
@@ -624,7 +858,6 @@ module Mf1v = struct
   let transpose ~m ~n ~src ~dst =
     check_transpose "Batch.transpose" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst);
     transpose_plane ~m ~n src.c0 dst.c0
-end
 
 |}
 
@@ -772,7 +1005,12 @@ end
 let batch_ml () =
   let buf = Buffer.create (1 lsl 18) in
   Buffer.add_string buf header;
-  Buffer.add_string buf "\n";
+  bpf buf "(* Elements per C block (see batch_stubs.c). *)\nlet block = %d\n" block;
+  Buffer.add_string buf header_rest;
+  Buffer.add_string buf mf1v;
+  bpf buf "\n";
+  emit_wrappers buf tier1;
+  bpf buf "end\n\n";
   List.iteri
     (fun i tr ->
       if i > 0 then Buffer.add_string buf "\n";
@@ -780,6 +1018,360 @@ let batch_ml () =
     tiers;
   Buffer.add_string buf footer;
   Buffer.contents buf
+
+(* --- batch_stubs.c assembly ------------------------------------------- *)
+
+(* C stubs are the kernels' loops and nothing else: every float
+   operation comes from [emit_program ~syn:c] over the same programs
+   the OCaml loops above run.  Naming: plane pointers p<local><k>,
+   per-element loads <local><k>, alpha al<k>, accumulators acc<k>,
+   block buffers <buf><k>[MF_BLOCK]. *)
+
+let cn pre t = Array.init t (fun k -> spf "%s%d" pre k)
+let cjoin f pre t = String.concat ", " (Array.to_list (Array.map f (cn pre t)))
+let restrict_in pre t = cjoin (spf "const double *restrict %s") pre t
+let restrict_out pre t = cjoin (spf "double *restrict %s") pre t
+let nan_of outs = String.concat " | " (List.map (spf "MF_NAN(%s)") outs)
+
+let c_loads buf ~indent ~local ~plane ~idx t ~neg =
+  for k = 0 to t - 1 do
+    bpf buf "%sconst double %s%d = %s%s%d[%s];\n" indent local k (if neg then "-" else "") plane k
+      idx
+  done
+
+let c_params op = snd (List.assoc op c_ops)
+
+let c_signature tr op =
+  spf "MF_CLONES value %s(%s)" (stub tr op)
+    (String.concat ", " (List.map (spf "value %s") (c_params op)))
+
+(* Plane pointers of record [v] at offset [off] (a C expression). *)
+let c_planes buf tr ~local ~v ~off ~const =
+  for k = 0 to tr.t - 1 do
+    bpf buf "  %sdouble *const p%s%d = MF_PLANE(%s, %d)%s;\n"
+      (if const then "const " else "")
+      local k v k
+      (if off = "" then "" else " + " ^ off)
+  done
+
+let c_alpha buf tr =
+  bpf buf "  const double %s;\n"
+    (cat ", " tr.t (fun k -> spf "al%d = Double_flat_field(al, %d)" k k))
+
+let c_acc_load buf tr =
+  bpf buf "  double %s;\n" (cat ", " tr.t (fun k -> spf "acc%d = Double_flat_field(acc, %d)" k k))
+
+let c_acc_store buf tr =
+  for k = 0 to tr.t - 1 do
+    bpf buf "  Store_double_flat_field(acc, %d, acc%d);\n" k k
+  done
+
+let c_block_bufs buf tr names =
+  bpf buf "  double %s;\n"
+    (String.concat ", "
+       (List.concat_map (fun b -> seq tr.t (fun k -> spf "%s%d[MF_BLOCK]" b k)) names))
+
+let c_block_len buf ~indent ~hi =
+  bpf buf "%sconst intnat m = %s - j < MF_BLOCK ? %s - j : MF_BLOCK;\n" indent hi hi
+
+(* "px0 + j, px1 + j, ..." for each local *)
+let c_shifted tr locals =
+  String.concat ", " (List.concat_map (fun l -> seq tr.t (fun k -> spf "p%s%d + j" l k)) locals)
+
+let c_list tr names = String.concat ", " (List.concat_map (fun b -> seq tr.t (spf "%s%d" b)) names)
+
+(* A vectorizable block loop over [m] elements: loads [ins] (local,
+   negate) through restrict-qualified plane pointers, runs [body], and
+   writes its output groups to the block buffers [outs].  With [~nan],
+   it also returns whether any output is a NaN. *)
+let emit_c_block buf tr ~fn ~alpha ~ins ~outs ~nan ~body =
+  let t = tr.t in
+  bpf buf "MF_INLINE %s %s(intnat m%s, %s, %s)\n{\n"
+    (if nan then "int" else "void")
+    fn
+    (if alpha then ", " ^ cjoin (spf "double %s") "al" t else "")
+    (String.concat ", " (List.map (fun (l, _) -> restrict_in ("p" ^ l) t) ins))
+    (String.concat ", " (List.map (fun o -> restrict_out o t) outs));
+  if nan then bpf buf "  int nan = 0;\n";
+  bpf buf "  MF_IVDEP\n  for (intnat i = 0; i < m; i++) {\n";
+  List.iter
+    (fun (l, neg) -> c_loads buf ~indent:"    " ~local:l ~plane:("p" ^ l) ~idx:"i" t ~neg)
+    ins;
+  let groups = body buf in
+  List.iter2
+    (fun o vals -> Array.iteri (fun k v -> bpf buf "    %s%d[i] = %s;\n" o k v) vals)
+    outs groups;
+  if nan then begin
+    bpf buf "    nan |= %s;\n" (nan_of (List.concat_map Array.to_list groups));
+    bpf buf "  }\n  return nan;\n}\n\n"
+  end
+  else bpf buf "  }\n}\n\n"
+
+let c_prog ~indent ~prefix prog args buf =
+  emit_program ~syn:c buf ~indent ~prefix prog ~args:(Array.concat args)
+
+(* add / sub / mul / axpy / madd: blocks of [MF_BLOCK] computed into a
+   stack buffer and stored only when NaN-free; returns [hi], or the
+   start of the first block it declined. *)
+let emit_c_elementwise buf tr ~op ~doc ~alpha ~ins ~out ~body =
+  let t = tr.t in
+  let fn = spf "mf%d_%s_block" t op in
+  emit_c_block buf tr ~fn ~alpha ~ins:(List.map (fun (l, _, _, neg) -> (l, neg)) ins) ~outs:[ "o" ]
+    ~nan:true ~body:(fun buf -> [ body buf ]);
+  bpf buf "/* %s */\n%s\n{\n" doc (c_signature tr op);
+  bpf buf "  const intnat end = Long_val(hi);\n";
+  if alpha then c_alpha buf tr;
+  List.iter (fun (l, v, off, _) -> c_planes buf tr ~local:l ~v ~off ~const:true) ins;
+  (let v, off = out in
+   c_planes buf tr ~local:"d" ~v ~off ~const:false);
+  c_block_bufs buf tr [ "o" ];
+  bpf buf "  for (intnat j = Long_val(lo); j < end; j += MF_BLOCK) {\n";
+  c_block_len buf ~indent:"    " ~hi:"end";
+  bpf buf "    if (%s(m, %s%s, %s))\n      return Val_long(j);\n" fn
+    (if alpha then c_list tr [ "al" ] ^ ", " else "")
+    (c_shifted tr (List.map (fun (l, _, _, _) -> l) ins))
+    (c_list tr [ "o" ]);
+  for k = 0 to t - 1 do
+    bpf buf "    for (intnat i = 0; i < m; i++) pd%d[j + i] = o%d[i];\n" k k
+  done;
+  bpf buf "  }\n  return hi;\n}\n\n"
+
+let emit_c_dot buf tr =
+  let t = tr.t in
+  let fn = spf "mf%d_dot_stage" t in
+  emit_c_block buf tr ~fn ~alpha:false ~ins:[ ("x", false); ("y", false) ] ~outs:[ "sp" ]
+    ~nan:false ~body:(fun buf ->
+      [ c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "x" t; cn "y" t ] buf ]);
+  bpf buf
+    "/* dot's loop: acc <- add(acc, mul(x[xoff+i], y[yoff+i])) for 0 <= i < len, the\n\
+    \   products staged a block at a time, the fold serial.  Stops before the first\n\
+    \   step whose accumulator has a NaN; returns the steps taken, and acc holds\n\
+    \   the accumulator after them. */\n";
+  bpf buf "%s\n{\n" (c_signature tr "dot");
+  bpf buf "  const intnat n = Long_val(len);\n";
+  c_planes buf tr ~local:"x" ~v:"x" ~off:"Long_val(xoff)" ~const:true;
+  c_planes buf tr ~local:"y" ~v:"y" ~off:"Long_val(yoff)" ~const:true;
+  c_acc_load buf tr;
+  c_block_bufs buf tr [ "sp" ];
+  bpf buf "  intnat stop = n;\n";
+  bpf buf "  for (intnat j = 0; j < n && stop == n; j += MF_BLOCK) {\n";
+  c_block_len buf ~indent:"    " ~hi:"n";
+  bpf buf "    %s(m, %s, %s);\n" fn (c_shifted tr [ "x"; "y" ]) (c_list tr [ "sp" ]);
+  bpf buf "    for (intnat i = 0; i < m; i++) {\n";
+  c_loads buf ~indent:"      " ~local:"pv" ~plane:"sp" ~idx:"i" t ~neg:false;
+  let q = c_prog ~indent:"      " ~prefix:"q" (add_prog t) [ cn "acc" t; cn "pv" t ] buf in
+  bpf buf "      if (%s) {\n        stop = j + i;\n        break;\n      }\n"
+    (nan_of (Array.to_list q));
+  Array.iteri (fun k v -> bpf buf "      acc%d = %s;\n" k v) q;
+  bpf buf "    }\n  }\n";
+  c_acc_store buf tr;
+  bpf buf "  return Val_long(stop);\n}\n\n"
+
+let emit_c_sum buf tr =
+  let t = tr.t in
+  bpf buf
+    "/* sum's loop: acc <- add(acc, x[xoff+i]) for 0 <= i < len; stops before the\n\
+    \   first step whose accumulator has a NaN and returns the steps taken. */\n";
+  bpf buf "%s\n{\n" (c_signature tr "sum");
+  bpf buf "  const intnat n = Long_val(len);\n";
+  c_planes buf tr ~local:"x" ~v:"x" ~off:"Long_val(xoff)" ~const:true;
+  c_acc_load buf tr;
+  bpf buf "  intnat i;\n";
+  bpf buf "  for (i = 0; i < n; i++) {\n";
+  c_loads buf ~indent:"    " ~local:"x" ~plane:"px" ~idx:"i" t ~neg:false;
+  let v = c_prog ~indent:"    " ~prefix:"v" (add_prog t) [ cn "acc" t; cn "x" t ] buf in
+  bpf buf "    if (%s)\n      break;\n" (nan_of (Array.to_list v));
+  Array.iteri (fun k e -> bpf buf "    acc%d = %s;\n" k e) v;
+  bpf buf "  }\n";
+  c_acc_store buf tr;
+  bpf buf "  return Val_long(i);\n}\n\n"
+
+let emit_c_axpy_dot buf tr =
+  let t = tr.t in
+  let fn = spf "mf%d_axpy_dot_stage" t in
+  emit_c_block buf tr ~fn ~alpha:true
+    ~ins:[ ("x", false); ("y", false); ("z", false) ]
+    ~outs:[ "sq"; "sr" ] ~nan:false
+    ~body:(fun buf ->
+      let p = c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "al" t; cn "x" t ] buf in
+      let q = c_prog ~indent:"    " ~prefix:"q" (add_prog t) [ p; cn "y" t ] buf in
+      let r = c_prog ~indent:"    " ~prefix:"r" (mul_prog t) [ q; cn "z" t ] buf in
+      [ q; r ]);
+  bpf buf
+    "/* axpy_dot's loop: for lo <= i < hi, y[i] <- add(mul(alpha, x[i]), y[i]) and\n\
+    \   acc <- add(acc, mul(y[i], w[i])), w[i] read before y[i] is stored.  The\n\
+    \   updates are staged a block at a time, the fold serial.  Stops before the\n\
+    \   first step whose update or accumulator has a NaN, storing nothing for it;\n\
+    \   returns where it stopped, and acc holds the accumulator there. */\n";
+  bpf buf "%s\n{\n" (c_signature tr "axpy_dot");
+  bpf buf "  const intnat end = Long_val(hi);\n";
+  c_alpha buf tr;
+  c_planes buf tr ~local:"x" ~v:"x" ~off:"" ~const:true;
+  c_planes buf tr ~local:"y" ~v:"y" ~off:"" ~const:false;
+  c_planes buf tr ~local:"z" ~v:"w" ~off:"" ~const:true;
+  c_acc_load buf tr;
+  c_block_bufs buf tr [ "sq"; "sr" ];
+  bpf buf "  intnat stop = end;\n";
+  bpf buf "  for (intnat j = Long_val(lo); j < end && stop == end; j += MF_BLOCK) {\n";
+  c_block_len buf ~indent:"    " ~hi:"end";
+  bpf buf "    %s(m, %s, %s, %s);\n" fn (c_list tr [ "al" ]) (c_shifted tr [ "x"; "y"; "z" ])
+    (c_list tr [ "sq"; "sr" ]);
+  bpf buf "    for (intnat i = 0; i < m; i++) {\n";
+  c_loads buf ~indent:"      " ~local:"qv" ~plane:"sq" ~idx:"i" t ~neg:false;
+  c_loads buf ~indent:"      " ~local:"rv" ~plane:"sr" ~idx:"i" t ~neg:false;
+  let s = c_prog ~indent:"      " ~prefix:"s" (add_prog t) [ cn "acc" t; cn "rv" t ] buf in
+  bpf buf "      if (%s) {\n        stop = j + i;\n        break;\n      }\n"
+    (nan_of (Array.to_list (cn "qv" t) @ Array.to_list s));
+  for k = 0 to t - 1 do
+    bpf buf "      py%d[j + i] = qv%d;\n" k k
+  done;
+  Array.iteri (fun k v -> bpf buf "      acc%d = %s;\n" k v) s;
+  bpf buf "    }\n  }\n";
+  c_acc_store buf tr;
+  bpf buf "  return Val_long(stop);\n}\n\n"
+
+let emit_c_bytecode buf tr =
+  List.iter
+    (fun (op, (_, params)) ->
+      let n = List.length params in
+      if n > max_direct_args then begin
+        bpf buf "value %s_byte(value *argv, int argn)\n{\n" (stub tr op);
+        bpf buf "  (void) argn;\n";
+        bpf buf "  return %s(%s);\n}\n\n" (stub tr op)
+          (String.concat ", " (List.init n (spf "argv[%d]")))
+      end)
+    c_ops
+
+let emit_c_tier buf tr =
+  let t = tr.t in
+  bpf buf "/* ---- %d-term planes (%sv) ---- */\n\n" t tr.mf;
+  let xy = [ cn "x" t; cn "y" t ] in
+  List.iter
+    (fun (op, prog, neg) ->
+      emit_c_elementwise buf tr ~op
+        ~doc:(spf "%s: dst[i] = %s(a[i], %sb[i]) for lo <= i < hi." op
+                (if op = "mul" then "mul" else "add") (if neg then "-" else ""))
+        ~alpha:false
+        ~ins:[ ("x", "a", "", false); ("y", "b", "", neg) ]
+        ~out:("dst", "")
+        ~body:(c_prog ~indent:"    " ~prefix:"v" prog xy))
+    [ ("add", add_prog t, false); ("sub", add_prog t, true); ("mul", mul_prog t, false) ];
+  emit_c_elementwise buf tr ~op:"axpy"
+    ~doc:"axpy: y[i] = add(mul(alpha, x[i]), y[i]) for lo <= i < hi." ~alpha:true
+    ~ins:[ ("x", "x", "", false); ("y", "y", "", false) ]
+    ~out:("y", "")
+    ~body:(fun buf ->
+      let p = c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "al" t; cn "x" t ] buf in
+      c_prog ~indent:"    " ~prefix:"q" (add_prog t) [ p; cn "y" t ] buf);
+  emit_c_elementwise buf tr ~op:"madd"
+    ~doc:
+      "madd: y[yoff+i] = add(y[yoff+i], mul(alpha, x[xoff+i])) for lo <= i < hi;\n\
+      \   x and y are distinct vectors, or one vector at one offset."
+    ~alpha:true
+    ~ins:[ ("x", "x", "Long_val(xoff)", false); ("y", "y", "Long_val(yoff)", false) ]
+    ~out:("y", "Long_val(yoff)")
+    ~body:(fun buf ->
+      let p = c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "al" t; cn "x" t ] buf in
+      c_prog ~indent:"    " ~prefix:"q" (add_prog t) [ cn "y" t; p ] buf);
+  emit_c_dot buf tr;
+  emit_c_sum buf tr;
+  emit_c_axpy_dot buf tr;
+  emit_c_bytecode buf tr
+
+let c_header =
+  {|/* The planar FPAN kernels of Multifloat.Batch as C loops.
+
+   Each loop runs, element for element, the IR program its OCaml
+   twin in batch.ml runs, with the same gates on the same operands in
+   the same order.  Built with -O3 -ffp-contract=off and without
+   -march, every + - * and fma rounds exactly as in OCaml, so NaN-free
+   results are bitwise those of the OCaml loops.  The compiler may
+   still swap the operands of + and *, which changes which NaN payload
+   propagates: elementwise loops therefore store a block only when
+   none of its outputs is a NaN, and folds stop before the first step
+   whose accumulator is a NaN.  The OCaml wrappers recompute the rest.
+
+   On x86-64 glibc builds with GCC every kernel is compiled three times
+   (x86-64-v4: AVX-512; x86-64-v3: AVX2 and FMA; baseline) and an ifunc
+   resolver picks one when the program loads; elsewhere each kernel is
+   one plain build.  mf_batch_isa reports the choice.
+
+   Stubs never allocate, never raise and return an OCaml value (an
+   index as Val_long); those with more than five arguments have a
+   bytecode entry point.
+
+   GENERATED by lib/fpan_ir/gen/gen_batch.ml (target [c]).  Do not edit
+   this file by hand -- edit the generator and run `dune runtest`
+   (whose drift rule diffs this file against a fresh regeneration),
+   then `dune promote` to accept the new output. */
+
+#define CAML_NAME_SPACE
+#include <float.h>
+#include <math.h>
+#include <caml/mlvalues.h>
+#include <caml/alloc.h>
+
+#ifndef FLAT_FLOAT_ARRAY
+#error "batch_stubs.c reads OCaml float arrays as flat doubles"
+#endif
+#ifdef __FAST_MATH__
+#error "batch_stubs.c needs IEEE arithmetic: build it without -ffast-math"
+#endif
+#if FLT_EVAL_METHOD != 0
+#error "batch_stubs.c needs every double operation rounded to double"
+#endif
+
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define MF_DISPATCH 1
+#define MF_CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define MF_DISPATCH 0
+#define MF_CLONES
+#endif
+
+/* Block loops are inlined into each clone, so each clone compiles
+   them for its own instruction set. */
+#if defined(__GNUC__)
+#define MF_INLINE static inline __attribute__((always_inline))
+#else
+#define MF_INLINE static inline
+#endif
+
+#if defined(__GNUC__) && !defined(__clang__)
+#define MF_IVDEP _Pragma("GCC ivdep")
+#else
+#define MF_IVDEP
+#endif
+
+#define MF_PLANE(v, k) ((double *) Field((v), (k) + 1))
+#define MF_NAN(x) ((x) != (x))
+
+/* The clone the resolver of every MF_CLONES kernel picks, by the same
+   CPU-feature test. */
+value mf_batch_isa(value unit)
+{
+  (void) unit;
+#if MF_DISPATCH
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4"))
+    return caml_copy_string("x86-64-v4");
+  if (__builtin_cpu_supports("x86-64-v3"))
+    return caml_copy_string("x86-64-v3");
+  return caml_copy_string("default");
+#else
+  return caml_copy_string("portable");
+#endif
+}
+|}
+
+let batch_c () =
+  let buf = Buffer.create (1 lsl 19) in
+  Buffer.add_string buf c_header;
+  bpf buf "\n#define MF_BLOCK %d\n\n" block;
+  List.iter (emit_c_tier buf) (tier1 :: tiers);
+  (* one trailing newline *)
+  let s = Buffer.contents buf in
+  String.sub s 0 (String.length s - 1)
 
 (* --- fpan_scalar.ml assembly ----------------------------------------- *)
 

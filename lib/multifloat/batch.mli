@@ -8,16 +8,26 @@
     gate and operand order match the scalar kernels exactly, so batched
     results are {e bitwise equal} to scalar loops over element arrays.
 
-    The implementation (batch.ml) is GENERATED from the FPAN wire
-    programs by [lib/fpan_ir] ([gen/gen_batch.ml]); a drift rule in
-    this directory's dune file diffs the committed file against a
-    fresh regeneration on every [dune runtest].
+    The kernels run as C loops (batch_stubs.c) dispatched at run time
+    to the widest SIMD clone the CPU supports ({!isa}), so each element
+    loop's fixed dataflow streams through vector lanes: the paper's
+    cross-element vectorization (Section 5), which the planar layout
+    exists to feed.  Each C loop falls back to its OCaml twin wherever
+    the bits could differ (a NaN among a block's outputs, or a [madd]
+    of one vector onto itself at another offset), so results stay
+    bitwise equal to the scalar kernels, NaN payloads included.
 
-    This is the OCaml stand-in for the paper's cross-element
-    autovectorization (Section 5): branch-freedom makes the element
-    loop a fixed dataflow, and the planar layout is what lets that
-    dataflow stream through the FPU without pointer chasing — the same
-    reason the paper's AVX-512/NEON lanes want their operands planar. *)
+    Both forms are GENERATED from the FPAN wire programs by
+    [lib/fpan_ir] ([gen/gen_batch.ml]); drift rules in this
+    directory's dune file diff the committed batch.ml and
+    batch_stubs.c against a fresh regeneration on every
+    [dune runtest]. *)
+
+val isa : unit -> string
+(** The SIMD clone the C kernels run on this CPU: ["x86-64-v4"]
+    (AVX-512), ["x86-64-v3"] (AVX2 and FMA) or ["default"] (baseline
+    x86-64) on x86-64 glibc builds, ["portable"] (one plain build)
+    elsewhere.  Benchmark artifacts record it next to kernel timings. *)
 
 (** Planar vector operations over one MultiFloat size.  The fold and
     update operations fix the accumulation order of the scalar BLAS
@@ -105,13 +115,32 @@ module type V = sig
       ([Invalid_argument] otherwise). *)
 end
 
-module Mf1v : V with type elt = float
-(** Native doubles in a single plane, so 53-bit rows run through the
-    same batched kernels. *)
+(** A generated tier: the {!V} kernels run the C loops, and the [_ml]
+    operations are the generated OCaml loops the C loops fall back to,
+    with the same contracts.  They are the bitwise reference the tests
+    hold the C loops to. *)
+module type TIER = sig
+  include V
 
-module Mf2v : V with type elt = Mf2.t
-module Mf3v : V with type elt = Mf3.t
-module Mf4v : V with type elt = Mf4.t
+  val add_ml : dst:t -> t -> t -> unit
+  val sub_ml : dst:t -> t -> t -> unit
+  val mul_ml : dst:t -> t -> t -> unit
+  val axpy_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
+  val madd_ml : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
+  val dot_ml : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
+  val sum_ml : init:elt -> x:t -> xoff:int -> len:int -> elt
+  val dot_sub_ml : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
+  val axpy_dot_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
+end
+
+module Mf1v : TIER with type elt = float
+(** Native doubles in a single plane, so 53-bit rows run through the
+    same batched kernels (and the same C templates, over one-gate
+    programs). *)
+
+module Mf2v : TIER with type elt = Mf2.t
+module Mf3v : TIER with type elt = Mf3.t
+module Mf4v : TIER with type elt = Mf4.t
 
 (** What {!Of_scalar} needs from a scalar arithmetic: the
     component-array view plus the ring operations. *)

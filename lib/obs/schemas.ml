@@ -57,11 +57,15 @@ let fig_sched_block =
       Req ("window_wall_s", Num);
       Req ("per_worker", List worker_row) ]
 
+(* [isa] names the SIMD clone of the planar C kernels that produced the
+   timings (Multifloat.Batch.isa); artifacts older than those kernels
+   lack it. *)
 let bench_fig =
   Obj
     [ Req ("experiment", Str);
       Req ("units", Str);
       Req ("note", Str);
+      Opt ("isa", Str);
       Req ("tables", List fig_table);
       Opt
         ( "layout_speedup",

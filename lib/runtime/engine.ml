@@ -47,7 +47,7 @@ end
 
 type cfg = { tile_m : int; tile_n : int; grain : int }
 
-let default_cfg = { tile_m = 32; tile_n = 32; grain = 1024 }
+let default_cfg = { tile_m = 64; tile_n = 64; grain = 1024 }
 
 module Make (E : ELT) (V : VEC with type elt = E.t) = struct
   let check_len name v n = if V.length v <> n then invalid_arg name

@@ -41,10 +41,11 @@ type cfg = {
 }
 
 val default_cfg : cfg
-(** [{tile_m = 32; tile_n = 32; grain = 1024}] — tiles sized so the
+(** [{tile_m = 64; tile_n = 64; grain = 1024}] — tiles sized so the
     [k x tile_n] B panel plus the C tile of 2–4-term planar components
-    stay cache-resident (see DESIGN.md §7 and the EXPERIMENTS.md tile
-    sweep).  Changing the tile size or grain never changes GEMM/GEMV
+    stay cache-resident, and each [madd] row update is long enough to
+    amortize its call into the C kernels (see DESIGN.md §7 and the
+    EXPERIMENTS.md tile sweep).  Changing the tile size or grain never changes GEMM/GEMV
     results (only the DOT/SUMSQ reduction-tree shape depends on
     [grain]). *)
 

@@ -21,7 +21,17 @@ let artifact f =
 let test_bench_figs () =
   List.iter
     (fun f -> validate_file f Obs.Schemas.bench_fig (artifact f))
-    [ "BENCH_fig9.json"; "BENCH_fig10.json"; "BENCH_fig11.json" ]
+    [ "BENCH_fig9.json"; "BENCH_fig10.json"; "BENCH_fig11.json" ];
+  (* the kernel figures name the SIMD clone their timings came from *)
+  List.iter
+    (fun f ->
+      match J.parse_file (artifact f) with
+      | Error msg -> Alcotest.fail msg
+      | Ok doc -> (
+          match Option.bind (J.member "isa" doc) J.to_str with
+          | Some isa when List.mem isa [ "x86-64-v4"; "x86-64-v3"; "default"; "portable" ] -> ()
+          | _ -> Alcotest.failf "%s: no valid \"isa\" header" f))
+    [ "BENCH_fig9.json"; "BENCH_fig10.json" ]
 
 let num k v = Option.get (Option.bind (J.member k v) J.to_num)
 let list k v = Option.get (Option.bind (J.member k v) J.to_list)
