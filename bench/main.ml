@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- --quick ...  -- shorter timing windows
 
    Experiments: counts accuracy fig8 fig9 fig10 fig11 exponent-range
-                ablation-layout ablations application
+                ablation-layout ablations application codec
 
    Absolute numbers are OCaml-on-one-core, not Zen 5/M3 silicon; the
    claims under reproduction are the RATIOS and RANKINGS (who wins, by
@@ -799,6 +799,155 @@ let application () =
   print_endline "   keeps only O(n^2) extended-precision work per iteration)"
 
 (* ------------------------------------------------------------------ *)
+(* Wire codec rung (BENCH_codec.json)                                  *)
+
+(* The machine, toolchain and source the codec numbers come from. *)
+let env_block () =
+  let read path =
+    try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None
+  in
+  let cpu =
+    Option.bind (read "/proc/cpuinfo") (fun text ->
+        String.split_on_char '\n' text
+        |> List.find_map (fun line ->
+               match String.index_opt line ':' with
+               | Some i when String.trim (String.sub line 0 i) = "model name" ->
+                   Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+               | _ -> None))
+  in
+  (* HEAD read from .git directly: a loose ref, else packed-refs *)
+  let git_rev =
+    let ( let* ) = Option.bind in
+    let* head = Option.map String.trim (read ".git/HEAD") in
+    if not (String.starts_with ~prefix:"ref: " head) then Some head
+    else
+      let r = String.sub head 5 (String.length head - 5) in
+      match read (".git/" ^ r) with
+      | Some h -> Some (String.trim h)
+      | None ->
+          let* packed = read ".git/packed-refs" in
+          String.split_on_char '\n' packed
+          |> List.find_map (fun line ->
+                 match String.split_on_char ' ' line with
+                 | [ h; name ] when name = r -> Some h
+                 | _ -> None)
+  in
+  Json_out.Obj
+    [ ("nproc", Json_out.Num (float_of_int (Domain.recommended_domain_count ())));
+      ("cpu", Json_out.Str (Option.value cpu ~default:"unknown"));
+      ("ocaml", Json_out.Str Sys.ocaml_version);
+      ("flambda", Json_out.Bool Build_info.flambda);
+      ("isa", Json_out.Str (Multifloat.Batch.isa ()));
+      ("git_rev", Json_out.Str (Option.value git_rev ~default:"unknown")) ]
+
+(* [reps] timed calls of [f] (each doing [count] units of work) as a
+   per-unit median in [unit_s] with its spread, plus the minor words one
+   call allocates per unit. *)
+let codec_cell ~reps ~count ~unit_s f =
+  let s, () = Obs.Sample.time ~reps f in
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int count in
+  let k = 1.0 /. (float_of_int count *. unit_s) in
+  let per =
+    { s with median = s.median *. k; q1 = s.q1 *. k; q3 = s.q3 *. k; total = s.total *. k }
+  in
+  (per.Obs.Sample.median, Obs.Sample.to_json per, words)
+
+let codec () =
+  print_endline "\n=== Wire codec: hex-float components and length-256 requests ===";
+  let module P = Serve.Protocol in
+  let reps = if !min_time < 0.2 then 21 else 201 in
+  let sink = ref 0 in
+  (* finite components spread over 2^-200 .. 2^200, both signs *)
+  let values =
+    Array.init 4096 (fun _ ->
+        Float.ldexp (Random.State.float rng 2.0 -. 1.0) (Random.State.int rng 401 - 200))
+  in
+  let wires = Array.map P.float_to_wire values in
+  let count = Array.length values in
+  (* the codec before the C primitives, as the baseline rows *)
+  let printf_h c =
+    if Float.is_nan c then Printf.sprintf "nan:%Lx" (Int64.bits_of_float c)
+    else Printf.sprintf "%h" c
+  in
+  let component (dir, impl, run) =
+    let ns, spread, words = codec_cell ~reps ~count ~unit_s:1e-9 run in
+    Printf.printf "  %-6s %-20s %8.1f ns  %5.1f minor words / component\n" dir impl ns words;
+    Json_out.Obj
+      [ ("direction", Json_out.Str dir); ("impl", Json_out.Str impl); ("ns", Json_out.Num ns);
+        ("spread", spread); ("minor_words", Json_out.Num words) ]
+  in
+  let each a f () = Array.iter (fun v -> sink := !sink + f v) a in
+  let used = function Some f -> Float.to_int f land 1 | None -> 0 in
+  let components =
+    List.map component
+      [ ("encode", "c_primitive", each values (fun c -> String.length (P.float_to_wire c)));
+        ("encode", "printf_h", each values (fun c -> String.length (printf_h c)));
+        ("decode", "c_primitive", each wires (fun s -> used (P.float_of_wire s)));
+        ("decode", "float_of_string_opt", each wires (fun s -> used (float_of_string_opt s))) ]
+  in
+  (* one serve_batch-shaped request per tier: dot over length 256 *)
+  let len = 256 in
+  let requests =
+    List.concat_map
+      (fun tier ->
+        let terms = P.tier_terms tier in
+        let operand () =
+          Array.init len (fun _ ->
+              let hi = Random.State.float rng 2.0 -. 1.0 in
+              Array.init terms (fun j ->
+                  Float.ldexp hi (-53 * j) *. (1.0 +. Random.State.float rng 0.5)))
+        in
+        let req =
+          { P.id = 4242; op = P.Dot; tier; sla = None; deadline_ms = None; prog = [];
+            x = operand (); y = operand (); z = [||] }
+        in
+        let frame = Json_out.to_string_compact (P.request_to_json req) in
+        let comps = 2 * len * terms in
+        let row path run =
+          let us, spread, words = codec_cell ~reps ~count:1 ~unit_s:1e-6 run in
+          Printf.printf
+            "  %s dot n=%d  %-18s %8.1f us  %7.0f minor words  (%d components, %d bytes)\n"
+            (P.tier_name tier) len path us words comps (String.length frame);
+          Json_out.Obj
+            [ ("tier", Json_out.Str (P.tier_name tier)); ("op", Json_out.Str "dot");
+              ("len", Json_out.Num (float_of_int len));
+              ("components", Json_out.Num (float_of_int comps));
+              ("bytes", Json_out.Num (float_of_int (String.length frame)));
+              ("path", Json_out.Str path); ("us", Json_out.Num us); ("spread", spread);
+              ("minor_words", Json_out.Num words) ]
+        in
+        let encode =
+          row "tree_encode" (fun () ->
+              sink := !sink + String.length (Json_out.to_string_compact (P.request_to_json req)))
+        in
+        let decode =
+          row "tree_decode" (fun () ->
+              match Result.bind (Json_out.parse frame) P.request_of_json with
+              | Ok r -> sink := !sink + Array.length r.P.x
+              | Error e -> failwith e)
+        in
+        let single_pass =
+          row "single_pass_decode" (fun () ->
+              match P.request_of_frame frame with
+              | Some r -> sink := !sink + Array.length r.P.x
+              | None -> failwith "single-pass decode declined a compact frame")
+        in
+        [ encode; decode; single_pass ])
+      [ P.Mf2; P.Mf3; P.Mf4 ]
+  in
+  ignore (Sys.opaque_identity !sink);
+  Json_out.write_file "BENCH_codec.json"
+    (Json_out.Obj
+       [ ("schema", Json_out.Str "fpan-bench-codec/1");
+         ("env", env_block ());
+         ("reps", Json_out.Num (float_of_int reps));
+         ("component_count", Json_out.Num (float_of_int count));
+         ("components", Json_out.List components);
+         ("requests", Json_out.List requests) ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -812,7 +961,7 @@ let () =
   let selected =
     if args = [] then
       [ "counts"; "accuracy"; "fig9"; "fig8"; "fig10"; "fig11"; "exponent-range";
-        "ablation-layout"; "ablations"; "application" ]
+        "ablation-layout"; "ablations"; "application"; "codec" ]
     else args
   in
   let want x = List.mem x selected in
@@ -838,5 +987,6 @@ let () =
   if want "ablation-layout" then ablation_layout ();
   if want "ablations" then ablations ();
   if want "application" then application ();
+  if want "codec" then codec ();
   if Lazy.is_val sched then Runtime.Sched.shutdown (Lazy.force sched);
   print_endline "\nDone."

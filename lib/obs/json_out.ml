@@ -176,9 +176,25 @@ let parse s =
     end
     else fail ("expected " ^ kw)
   in
+  let rec body_end i =
+    if i < n && String.unsafe_get s i <> '"' && String.unsafe_get s i <> '\\' then body_end (i + 1)
+    else i
+  in
   let parse_string () =
     expect '"';
+    (* an escape-free string (every hex-float component and key on the
+       serving path) is one scan and one String.sub; at the first
+       backslash the scanned prefix seeds the escape-decoding loop *)
+    let start = !pos in
+    let stop = body_end start in
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else
     let buf = Buffer.create 16 in
+    Buffer.add_substring buf s start (stop - start);
+    pos := stop;
     let rec go () =
       if !pos >= n then fail "unterminated string";
       let c = s.[!pos] in

@@ -423,6 +423,50 @@ let bench_fuse =
       Req ("cells", List fuse_cell);
       Opt ("refine", fuse_refine) ]
 
+(* --- BENCH_codec.json (fpan-bench-codec/1) --------------------------- *)
+
+(* The wire-codec rung: per hex-float component, the C primitives
+   against Printf "%h" / float_of_string_opt; per length-256 request,
+   the tree encode and decode against the single-pass decode.  Every
+   time is a median with its spread, beside the minor words one call
+   allocates; [env] names the machine and the build. *)
+let codec_component =
+  Obj
+    [ Req ("direction", Str_enum [ "encode"; "decode" ]);
+      Req ("impl", Str);
+      Req ("ns", Num);
+      Req ("spread", spread);
+      Req ("minor_words", Num) ]
+
+let codec_request =
+  Obj
+    [ Req ("tier", Str_enum [ "mf2"; "mf3"; "mf4" ]);
+      Req ("op", Str);
+      Req ("len", Int);
+      Req ("components", Int);
+      Req ("bytes", Int);
+      Req ("path", Str_enum [ "tree_encode"; "tree_decode"; "single_pass_decode" ]);
+      Req ("us", Num);
+      Req ("spread", spread);
+      Req ("minor_words", Num) ]
+
+let bench_codec =
+  Obj
+    [ Req ("schema", Str_const "fpan-bench-codec/1");
+      Req
+        ( "env",
+          Obj
+            [ Req ("nproc", Int);
+              Req ("cpu", Str);
+              Req ("ocaml", Str);
+              Req ("flambda", Bool);
+              Req ("isa", Str);
+              Req ("git_rev", Str) ] );
+      Req ("reps", Int);
+      Req ("component_count", Int);
+      Req ("components", List codec_component);
+      Req ("requests", List codec_request) ]
+
 (* --- CHAOS_report.json (fpan-chaos/1) ------------------------------- *)
 
 (* One campaign scenario: the fault classes it exercises, exact

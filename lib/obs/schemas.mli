@@ -42,6 +42,10 @@ val bench_fuse : Schema.t
 (** [BENCH_fuse.json], the cross-op fusion ablation, schema id
     [fpan-bench-fuse/2]. *)
 
+val bench_codec : Schema.t
+(** [BENCH_codec.json], the wire-codec rung of the bench harness
+    ([bench/main.exe codec]), schema id [fpan-bench-codec/1]. *)
+
 val chaos_report : Schema.t
 (** [CHAOS_report.json], the fault-injection campaign artifact, schema
     id [fpan-chaos/1].  Deterministic for a fixed

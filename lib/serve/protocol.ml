@@ -87,17 +87,49 @@ let response_id = function
 
 (* %h prints every NaN as "nan", losing the payload (OCaml's own
    Float.nan is 0x7ff8000000000001, while float_of_string "nan" gives
-   0x7ff8000000000000) — so NaNs carry their exact bit pattern. *)
-let float_to_wire c =
-  if Float.is_nan c then Printf.sprintf "nan:%Lx" (Int64.bits_of_float c)
-  else Printf.sprintf "%h" c
+   0x7ff8000000000000) — so NaNs carry their exact bit pattern.  Both
+   directions run in C (hexfloat_stubs.c): the encoder writes exactly
+   what [Printf "%h"] / ["nan:%Lx"] would, and the decoder parses
+   exactly those strings in place, declining everything else. *)
+external hex_encode : Bytes.t -> (int[@untagged]) -> (float[@unboxed]) -> (int[@untagged])
+  = "caml_fpan_hex_encode_byte" "caml_fpan_hex_encode"
+[@@noalloc]
 
-let float_of_wire s =
+external hex_decode :
+  string -> (int[@untagged]) -> (int[@untagged]) -> float array -> (int[@untagged]) -> bool
+  = "caml_fpan_hex_decode_byte" "caml_fpan_hex_decode"
+[@@noalloc]
+
+(* the longest encoding, "-0x1.fffffffffffffp+1023" *)
+let hex_max_len = 24
+
+let float_to_wire c =
+  let b = Bytes.create hex_max_len in
+  Bytes.sub_string b 0 (hex_encode b 0 c)
+
+(* Any other spelling float_of_string accepts (decimal, "inf",
+   uppercase, underscores, ...) and any "nan:" bit pattern Int64 reads
+   as a NaN: the accepted language is this fallback's. *)
+let float_of_wire_general s =
   if String.length s > 4 && String.sub s 0 4 = "nan:" then
     match Int64.of_string_opt ("0x" ^ String.sub s 4 (String.length s - 4)) with
     | Some b when Float.is_nan (Int64.float_of_bits b) -> Some (Int64.float_of_bits b)
     | _ -> None
   else float_of_string_opt s
+
+(* Decode component [s] into [dst.(i)]; false when [s] is no float. *)
+let decode_component s dst i =
+  hex_decode s 0 (String.length s) dst i
+  ||
+  match float_of_wire_general s with
+  | Some f ->
+      dst.(i) <- f;
+      true
+  | None -> false
+
+let float_of_wire s =
+  let slot = [| 0.0 |] in
+  if decode_component s slot 0 then Some slot.(0) else None
 
 let element_to_json comps =
   J.List (Array.to_list (Array.map (fun c -> J.Str (float_to_wire c)) comps))
@@ -115,12 +147,9 @@ let element_of_json ~terms v =
         let out = Array.make terms 0.0 in
         let rec go i = function
           | [] -> Ok out
-          | J.Str s :: rest -> (
-              match float_of_wire s with
-              | Some f ->
-                  out.(i) <- f;
-                  go (i + 1) rest
-              | None -> Error (Printf.sprintf "bad float component %S" s))
+          | J.Str s :: rest ->
+              if decode_component s out i then go (i + 1) rest
+              else Error (Printf.sprintf "bad float component %S" s)
           | _ -> Error "operand component is not a string"
         in
         go 0 comps
@@ -187,38 +216,151 @@ let request_to_json r =
     @ (if Array.length r.y = 0 then [] else [ ("y", elements_to_json r.y) ])
     @ if Array.length r.z = 0 then [] else [ ("z", elements_to_json r.z) ])
 
+(* Integral JSON numbers an int field takes: doubles hold every integer
+   of magnitude up to 2^53 exactly, and int_of_float of anything larger
+   (1e300, say) is unspecified. *)
+let max_wire_int = 1 lsl 53
+
+let int_of_wire_num f =
+  if Float.is_integer f && Float.abs f <= float_of_int max_wire_int then Some (int_of_float f)
+  else None
+
 let int_member key doc =
   match J.member key doc with
-  | Some (J.Num f) when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
+  | Some (J.Num f) -> (
+      match int_of_wire_num f with
+      | Some i -> Ok (Some i)
+      | None -> Error (Printf.sprintf "%s is not an integer of magnitude at most 2^53" key))
+  | _ -> Ok None
 
 let ( let* ) = Result.bind
+
+(* --- request validation (shared by both decoders) -------------------- *)
+
+(* The operation and the tier (or the sla standing in for it), before
+   any operand is decoded: a fixed tier fixes the operand width. *)
+let resolve_head ~op ~tier ~sla =
+  let* op =
+    match op_of_name op with
+    | Some op -> Ok op
+    | None -> Error (Printf.sprintf "unknown op %S" op)
+  in
+  let* tier_opt =
+    match (tier, sla) with
+    | Some _, Some _ -> Error "sla and tier are mutually exclusive"
+    | Some name, None -> (
+        match tier_of_name name with
+        | Some t -> Ok (Some t)
+        | None -> Error (Printf.sprintf "unknown tier %S" name))
+    | None, Some _ -> Ok None
+    | None, None -> if op = Stats then Ok (Some Mf2) else Error "missing tier"
+  in
+  Ok (op, tier_opt)
+
+(* Everything checked once the operands are decoded: which operands and
+   prog the op takes, their shapes, and for an sla request the budget,
+   the op's certifiability and the starting tier. *)
+let finish_request ~id ~op ~tier_opt ~sla ~deadline_ms ~prog ~x ~y ~z =
+  let* () =
+    if op <> Program && prog <> [] then
+      Error (Printf.sprintf "op %s takes no prog" (op_name op))
+    else if op <> Program && Array.length z > 0 then
+      Error (Printf.sprintf "op %s takes no operand z" (op_name op))
+    else Ok ()
+  in
+  let* () =
+    match op with
+    | Stats -> Ok ()
+    | Program -> (
+        let nx = Array.length x and ny = Array.length y and nz = Array.length z in
+        match prog with
+        | [] -> Error "op program needs prog"
+        | [ "sum" ] ->
+            if nx = 0 then Error "op program needs operand x"
+            else if ny > 0 || nz > 0 then Error "program sum takes only operand x"
+            else Ok ()
+        | [ "mul"; "sum" ] ->
+            if nx = 0 then Error "op program needs operand x"
+            else if nx <> ny then Error "vector operands differ in length"
+            else if nz > 0 then Error "program mul;sum takes no operand z"
+            else Ok ()
+        | [ "axpy"; "dot" ] ->
+            if nx = 0 then Error "op program needs operand x"
+            else if ny <> nx + 1 then
+              Error "program axpy;dot wants y = alpha followed by a vector of x's length"
+            else if nz <> nx then
+              Error "program axpy;dot wants z of x's length"
+            else Ok ()
+        | chain ->
+            Error
+              (Printf.sprintf "unsupported program %S (supported: %s)" (program_name chain)
+                 (String.concat ", " (List.map program_name programs))))
+    | _ -> (
+        let need_y = arity op = 2 in
+        match (Array.length x, Array.length y) with
+        | 0, _ -> Error (Printf.sprintf "op %s needs operand x" (op_name op))
+        | _, 0 when need_y -> Error (Printf.sprintf "op %s needs operand y" (op_name op))
+        | _, ny when (not need_y) && ny > 0 ->
+            Error (Printf.sprintf "op %s takes no operand y" (op_name op))
+        | nx, ny -> (
+            match op with
+            | Add | Mul | Div -> if nx = 1 && ny = 1 then Ok () else Error "scalar op wants 1-element operands"
+            | Sqrt | Exp | Log | Sin -> if nx = 1 then Ok () else Error "unary op wants a 1-element operand"
+            | Dot -> if nx = ny then Ok () else Error "vector operands differ in length"
+            | Axpy ->
+                if ny = nx + 1 then Ok ()
+                else Error "axpy wants y = alpha followed by a vector of x's length"
+            | Sum -> Ok ()
+            | Poly_eval -> if ny = 1 then Ok () else Error "poly-eval wants a 1-element point y"
+            | Program | Stats -> Ok ()))
+  in
+  let* tier =
+    match (tier_opt, sla) with
+    | Some t, _ -> Ok t
+    | None, None -> assert false
+    | None, Some q ->
+        (* an SLA stands in for the tier: validate the budget, the
+           op's certifiability, and the operand shape, then start
+           the ladder at the cheapest tier holding the operands *)
+        if q < Adaptive.Sla.q_min || q > Adaptive.Sla.q_max then
+          Error
+            (Printf.sprintf "sla %d out of range [%d, %d]" q Adaptive.Sla.q_min
+               Adaptive.Sla.q_max)
+        else if Adaptive.Sla.of_wire ~op:(op_name op) ~prog = None then
+          Error
+            (Printf.sprintf "op %s cannot carry an sla (certifiable ops: %s)"
+               (op_name op)
+               (String.concat ", " Adaptive.Sla.supported_wire_ops))
+        else if not (Adaptive.Sla.finite { Adaptive.Sla.x; y; z }) then
+          Error "sla requires finite operand components"
+        else (
+          match Adaptive.Sla.width { Adaptive.Sla.x; y; z } with
+          | Some w when w <= Adaptive.Sla.max_terms -> (
+              match Adaptive.Sla.start_terms ~width:w with
+              | 2 -> Ok Mf2
+              | 3 -> Ok Mf3
+              | _ -> Ok Mf4)
+          | _ -> Error "sla operands must have a uniform element width of 1..4 components")
+  in
+  Ok { id; op; tier; sla; deadline_ms; prog; x; y; z }
+
+(* --- request: generic decode of a parsed document -------------------- *)
 
 let request_of_json doc =
   match Obs.Schema.validate Obs.Schemas.serve_request doc with
   | Error violations -> Error (String.concat "; " violations)
   | Ok () ->
-      let id = Option.value ~default:0 (int_member "id" doc) in
+      let* id = int_member "id" doc in
+      let id = Option.value ~default:0 id in
       let* op =
         match J.member "op" doc with
-        | Some (J.Str name) -> (
-            match op_of_name name with
-            | Some op -> Ok op
-            | None -> Error (Printf.sprintf "unknown op %S" name))
+        | Some (J.Str name) -> Ok name
         | _ -> Error "missing op"
       in
-      let sla = int_member "sla" doc in
-      let* tier_opt =
-        match (J.member "tier" doc, sla) with
-        | Some _, Some _ -> Error "sla and tier are mutually exclusive"
-        | Some (J.Str name), None -> (
-            match tier_of_name name with
-            | Some t -> Ok (Some t)
-            | None -> Error (Printf.sprintf "unknown tier %S" name))
-        | Some _, None -> Error "tier is not a string"
-        | None, Some _ -> Ok None
-        | None, None -> if op = Stats then Ok (Some Mf2) else Error "missing tier"
-      in
+      let* sla = int_member "sla" doc in
+      (* the schema has checked that a present tier is a string *)
+      let tier = Option.bind (J.member "tier" doc) J.to_str in
+      let* op, tier_opt = resolve_head ~op ~tier ~sla in
       let operand decode key =
         match J.member key doc with
         | None -> Ok [||]
@@ -247,88 +389,162 @@ let request_of_json doc =
                 go [] steps)
       in
       let deadline_ms = Option.bind (J.member "deadline_ms" doc) J.to_num in
-      let* () =
-        if op <> Program && prog <> [] then
-          Error (Printf.sprintf "op %s takes no prog" (op_name op))
-        else if op <> Program && Array.length z > 0 then
-          Error (Printf.sprintf "op %s takes no operand z" (op_name op))
-        else Ok ()
-      in
-      let* () =
-        match op with
-        | Stats -> Ok ()
-        | Program -> (
-            let nx = Array.length x and ny = Array.length y and nz = Array.length z in
-            match prog with
-            | [] -> Error "op program needs prog"
-            | [ "sum" ] ->
-                if nx = 0 then Error "op program needs operand x"
-                else if ny > 0 || nz > 0 then Error "program sum takes only operand x"
-                else Ok ()
-            | [ "mul"; "sum" ] ->
-                if nx = 0 then Error "op program needs operand x"
-                else if nx <> ny then Error "vector operands differ in length"
-                else if nz > 0 then Error "program mul;sum takes no operand z"
-                else Ok ()
-            | [ "axpy"; "dot" ] ->
-                if nx = 0 then Error "op program needs operand x"
-                else if ny <> nx + 1 then
-                  Error "program axpy;dot wants y = alpha followed by a vector of x's length"
-                else if nz <> nx then
-                  Error "program axpy;dot wants z of x's length"
-                else Ok ()
-            | chain ->
-                Error
-                  (Printf.sprintf "unsupported program %S (supported: %s)" (program_name chain)
-                     (String.concat ", " (List.map program_name programs))))
-        | _ -> (
-            let need_y = arity op = 2 in
-            match (Array.length x, Array.length y) with
-            | 0, _ -> Error (Printf.sprintf "op %s needs operand x" (op_name op))
-            | _, 0 when need_y -> Error (Printf.sprintf "op %s needs operand y" (op_name op))
-            | _, ny when (not need_y) && ny > 0 ->
-                Error (Printf.sprintf "op %s takes no operand y" (op_name op))
-            | nx, ny -> (
-                match op with
-                | Add | Mul | Div -> if nx = 1 && ny = 1 then Ok () else Error "scalar op wants 1-element operands"
-                | Sqrt | Exp | Log | Sin -> if nx = 1 then Ok () else Error "unary op wants a 1-element operand"
-                | Dot -> if nx = ny then Ok () else Error "vector operands differ in length"
-                | Axpy ->
-                    if ny = nx + 1 then Ok ()
-                    else Error "axpy wants y = alpha followed by a vector of x's length"
-                | Sum -> Ok ()
-                | Poly_eval -> if ny = 1 then Ok () else Error "poly-eval wants a 1-element point y"
-                | Program | Stats -> Ok ()))
-      in
-      let* tier =
-        match (tier_opt, sla) with
-        | Some t, _ -> Ok t
-        | None, None -> assert false
-        | None, Some q ->
-            (* an SLA stands in for the tier: validate the budget, the
-               op's certifiability, and the operand shape, then start
-               the ladder at the cheapest tier holding the operands *)
-            if q < Adaptive.Sla.q_min || q > Adaptive.Sla.q_max then
-              Error
-                (Printf.sprintf "sla %d out of range [%d, %d]" q Adaptive.Sla.q_min
-                   Adaptive.Sla.q_max)
-            else if Adaptive.Sla.of_wire ~op:(op_name op) ~prog = None then
-              Error
-                (Printf.sprintf "op %s cannot carry an sla (certifiable ops: %s)"
-                   (op_name op)
-                   (String.concat ", " Adaptive.Sla.supported_wire_ops))
-            else if not (Adaptive.Sla.finite { Adaptive.Sla.x; y; z }) then
-              Error "sla requires finite operand components"
-            else (
-              match Adaptive.Sla.width { Adaptive.Sla.x; y; z } with
-              | Some w when w <= Adaptive.Sla.max_terms -> (
-                  match Adaptive.Sla.start_terms ~width:w with
-                  | 2 -> Ok Mf2
-                  | 3 -> Ok Mf3
-                  | _ -> Ok Mf4)
-              | _ -> Error "sla operands must have a uniform element width of 1..4 components")
-      in
-      Ok { id; op; tier; sla; deadline_ms; prog; x; y; z }
+      finish_request ~id ~op ~tier_opt ~sla ~deadline_ms ~prog ~x ~y ~z
+
+(* --- request: single pass over a compact frame ----------------------- *)
+
+(* The frames request_to_json + to_string_compact write, decoded
+   straight from the payload bytes: operands go from their component
+   slices into float arrays with no tree and no substring in between.
+   Anything outside that shape declines (None), and the caller falls
+   back to J.parse + request_of_json: whitespace, escapes, duplicate or
+   unknown keys, numbers other than plain integers, components that are
+   not the canonical hex encoding, and every request the shared checks
+   reject.  So a Some here is always what the generic path returns. *)
+exception Decline
+
+let request_of_frame s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let decline () = raise_notrace Decline in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let expect c = if at c then incr pos else decline () in
+  (* an escape-free string; returns where its body starts and leaves
+     pos just past the closing quote *)
+  let rec body_end i =
+    if i < n && String.unsafe_get s i <> '"' && String.unsafe_get s i <> '\\' then body_end (i + 1)
+    else i
+  in
+  let span () =
+    expect '"';
+    let start = !pos in
+    pos := body_end start;
+    expect '"';
+    start
+  in
+  let str () =
+    let a = span () in
+    String.sub s a (!pos - 1 - a)
+  in
+  (* -?[0-9]+, magnitude at most 2^53; "-0" declines since it means
+     -0.0 as a deadline *)
+  let int_ () =
+    let neg = at '-' in
+    if neg then incr pos;
+    let start = !pos and v = ref 0 in
+    while !pos < n && String.unsafe_get s !pos >= '0' && String.unsafe_get s !pos <= '9' do
+      v := (!v * 10) + Char.code (String.unsafe_get s !pos) - Char.code '0';
+      if !v > max_wire_int then decline ();
+      incr pos
+    done;
+    if !pos = start || (neg && !v = 0) then decline ();
+    if neg then - !v else !v
+  in
+  let list item =
+    expect '[';
+    if at ']' then incr pos
+    else begin
+      item ();
+      while at ',' do
+        incr pos;
+        item ()
+      done;
+      expect ']'
+    end
+  in
+  let comps = ref (Array.make 4 0.0) in
+  let operand () =
+    let els = ref (Array.make 16 [||]) and ne = ref 0 in
+    list (fun () ->
+        let k = ref 0 in
+        list (fun () ->
+            let a = span () in
+            if !k = Array.length !comps then begin
+              let grown = Array.make (2 * !k) 0.0 in
+              Array.blit !comps 0 grown 0 !k;
+              comps := grown
+            end;
+            if not (hex_decode s a (!pos - 1) !comps !k) then decline ();
+            incr k);
+        if !ne = Array.length !els then begin
+          let grown = Array.make (2 * !ne) [||] in
+          Array.blit !els 0 grown 0 !ne;
+          els := grown
+        end;
+        !els.(!ne) <- Array.sub !comps 0 !k;
+        incr ne);
+    Array.sub !els 0 !ne
+  in
+  let seen = ref 0 in
+  let id = ref 0 and op = ref "" and tier = ref None and sla = ref None in
+  let deadline_ms = ref None and prog = ref [] in
+  let x = ref [||] and y = ref [||] and z = ref [||] in
+  let field () =
+    let key = str () in
+    expect ':';
+    let bit =
+      match key with
+      | "schema" -> 1
+      | "id" -> 2
+      | "op" -> 4
+      | "tier" -> 8
+      | "sla" -> 16
+      | "deadline_ms" -> 32
+      | "prog" -> 64
+      | "x" -> 128
+      | "y" -> 256
+      | "z" -> 512
+      | _ -> decline ()
+    in
+    if !seen land bit <> 0 then decline ();
+    seen := !seen lor bit;
+    match key with
+    | "schema" -> (
+        match str () with "fpan-serve/1" | "fpan-serve/2" -> () | _ -> decline ())
+    | "id" -> id := int_ ()
+    | "op" -> op := str ()
+    | "tier" -> tier := Some (str ())
+    | "sla" -> sla := Some (int_ ())
+    | "deadline_ms" -> deadline_ms := Some (float_of_int (int_ ()))
+    | "prog" ->
+        let steps = ref [] in
+        list (fun () -> steps := str () :: !steps);
+        prog := List.rev !steps
+    | "x" -> x := operand ()
+    | "y" -> y := operand ()
+    | _ -> z := operand ()
+  in
+  match
+    expect '{';
+    field ();
+    while at ',' do
+      incr pos;
+      field ()
+    done;
+    expect '}';
+    (* schema, id and op are required *)
+    if !pos <> n || !seen land 7 <> 7 then decline ()
+  with
+  | exception Decline -> None
+  | () -> (
+      match resolve_head ~op:!op ~tier:!tier ~sla:!sla with
+      | Error _ -> None
+      | Ok (op, tier_opt) -> (
+          let width_ok =
+            match tier_opt with
+            | None -> true
+            | Some t ->
+                let w = tier_terms t in
+                List.for_all (Array.for_all (fun e -> Array.length e = w)) [ !x; !y; !z ]
+          in
+          if not width_ok then None
+          else
+            match
+              finish_request ~id:!id ~op ~tier_opt ~sla:!sla ~deadline_ms:!deadline_ms
+                ~prog:!prog ~x:!x ~y:!y ~z:!z
+            with
+            | Ok r -> Some r
+            | Error _ -> None))
 
 (* --- response ------------------------------------------------------- *)
 
@@ -365,7 +581,8 @@ let response_of_json doc =
   match Obs.Schema.validate Obs.Schemas.serve_response doc with
   | Error violations -> Error (String.concat "; " violations)
   | Ok () -> (
-      let id = Option.value ~default:0 (int_member "id" doc) in
+      let* id = int_member "id" doc in
+      let id = Option.value ~default:0 id in
       match Option.bind (J.member "status" doc) J.to_str with
       | Some "ok" -> (
           match J.member "stats" doc with
@@ -392,7 +609,8 @@ let response_of_json doc =
                             | Error _ as e -> e)
                       in
                       let* result = go [] els in
-                      let batch = Option.value ~default:1 (int_member "batch" doc) in
+                      let* batch = int_member "batch" doc in
+                      let batch = Option.value ~default:1 batch in
                       let chosen = Option.bind (J.member "chosen" doc) J.to_str in
                       let* bound =
                         match Option.bind (J.member "bound" doc) J.to_str with

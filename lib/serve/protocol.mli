@@ -106,11 +106,36 @@ val float_to_wire : float -> string
     collapse. *)
 
 val float_of_wire : string -> float option
+(** The inverse of {!float_to_wire}, bitwise.  It also takes every other
+    spelling [float_of_string_opt] accepts (decimal, ["inf"],
+    uppercase hex, underscores, ...) and any ["nan:"] bit pattern that
+    [Int64.of_string_opt] reads as a NaN.  The canonical strings
+    {!float_to_wire} writes are parsed in place by a C primitive; the
+    rest take the general OCaml route. *)
+
+val int_of_wire_num : float -> int option
+(** The int a JSON number denotes in an integer field: [None] unless
+    it is integral with magnitude at most 2^53 (beyond that doubles skip
+    integers and [int_of_float] is unspecified). *)
 
 (** {1 JSON encoding} *)
 
 val request_to_json : request -> Obs.Json_out.t
 val request_of_json : Obs.Json_out.t -> (request, string) result
+
+val request_of_frame : string -> request option
+(** Single-pass decode of a compact request payload (what
+    [Obs.Json_out.to_string_compact (request_to_json r)] writes):
+    operands go from the frame bytes straight into component arrays,
+    with no JSON tree in between.  [None] on anything outside that
+    shape: whitespace, escapes, duplicate or unknown keys, numbers other
+    than plain integers, components that are not canonical
+    {!float_to_wire} strings, wrong widths, and every request
+    {!request_of_json} rejects.  Never raises.  [Some r] implies that
+    parsing the payload and calling {!request_of_json} gives [Ok r'] with
+    [r'] bitwise equal to [r]; on [None] that generic path decides,
+    error replies included. *)
+
 val response_to_json : response -> Obs.Json_out.t
 val response_of_json : Obs.Json_out.t -> (response, string) result
 

@@ -289,8 +289,8 @@ let stats_doc t =
 
 let best_effort_id doc =
   match Option.bind (J.member "id" doc) J.to_num with
-  | Some f when Float.is_integer f -> int_of_float f
-  | _ -> 0
+  | Some f -> Option.value ~default:0 (P.int_of_wire_num f)
+  | None -> 0
 
 let bump t f =
   Mutex.lock t.lock;
@@ -345,33 +345,41 @@ let admit t conn (req : P.request) cache_key =
       Obs.Metrics.incr shed_closed_ctr;
       send t conn (P.Shed { id = req.P.id; reason = "closed" })
 
+(* The single-pass decoder takes the compact frames clients write; any
+   frame it declines goes through the generic parse and validation,
+   which also produces every error reply. *)
+let decode_frame payload =
+  match P.request_of_frame payload with
+  | Some req -> Ok req
+  | None -> (
+      match J.parse payload with
+      | Error e -> Error (0, "bad json: " ^ e)
+      | Ok doc -> (
+          match P.request_of_json doc with
+          | Ok req -> Ok req
+          | Error e -> Error (best_effort_id doc, e)))
+
 let handle_frame t conn payload =
   let tr = Obs.Trace.enabled () in
   if tr then Obs.Trace.begin_span Obs.Trace.Io "serve.request";
-  (match J.parse payload with
-  | Error e ->
+  (match decode_frame payload with
+  | Error (id, error) ->
       bump t (fun t -> t.decode_errors <- t.decode_errors + 1);
-      send t conn (P.Failed { id = 0; error = "bad json: " ^ e })
-  | Ok doc -> (
-      match P.request_of_json doc with
-      | Error e ->
-          bump t (fun t -> t.decode_errors <- t.decode_errors + 1);
-          send t conn (P.Failed { id = best_effort_id doc; error = e })
-      | Ok req when req.P.op = P.Stats ->
-          send t conn (P.Stats_reply { id = req.P.id; stats = stats_doc t })
-      | Ok req -> (
-          (* hot path: repeated scalar operands answer straight from
-             the LRU on the io domain, skipping queue and batcher *)
-          match
-            if Cache.capacity t.cache >= 1 then Cache.key_of_request req else None
-          with
-          | Some key as cache_key -> (
-              match Cache.find ~kind:(Cache.kind_of_request req) t.cache key with
-              | Some { Cache.result; chosen; bound } ->
-                  send t conn
-                    (P.Result { id = req.P.id; result; batch = 1; chosen; bound })
-              | None -> admit t conn req cache_key)
-          | None -> admit t conn req None)));
+      send t conn (P.Failed { id; error })
+  | Ok req when req.P.op = P.Stats ->
+      send t conn (P.Stats_reply { id = req.P.id; stats = stats_doc t })
+  | Ok req -> (
+      (* hot path: repeated scalar operands answer straight from
+         the LRU on the io domain, skipping queue and batcher *)
+      match
+        if Cache.capacity t.cache >= 1 then Cache.key_of_request req else None
+      with
+      | Some key as cache_key -> (
+          match Cache.find ~kind:(Cache.kind_of_request req) t.cache key with
+          | Some { Cache.result; chosen; bound } ->
+              send t conn (P.Result { id = req.P.id; result; batch = 1; chosen; bound })
+          | None -> admit t conn req cache_key)
+      | None -> admit t conn req None));
   if tr then Obs.Trace.end_span ()
 
 (* --- connection lifecycle (io domain) -------------------------------- *)

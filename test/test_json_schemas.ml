@@ -65,6 +65,26 @@ let test_bench_serve () =
 let test_bench_fuse () =
   validate_file "BENCH_fuse.json" Obs.Schemas.bench_fuse (artifact "BENCH_fuse.json")
 
+(* The codec rung: schema-valid, and every per-tier request row set
+   carries all three paths. *)
+let test_bench_codec () =
+  validate_file "BENCH_codec.json" Obs.Schemas.bench_codec (artifact "BENCH_codec.json");
+  let doc = parse "BENCH_codec.json" in
+  let rows = Option.get (Option.bind (J.member "requests" doc) J.to_list) in
+  List.iter
+    (fun tier ->
+      List.iter
+        (fun path ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s row" tier path)
+            true
+            (List.exists
+               (fun r ->
+                 J.member "tier" r = Some (J.Str tier) && J.member "path" r = Some (J.Str path))
+               rows))
+        [ "tree_encode"; "tree_decode"; "single_pass_decode" ])
+    [ "mf2"; "mf3"; "mf4" ]
+
 (* The committed verification certificate: schema-valid and actually a
    passing certificate (worker-count-independent by construction, so
    no environment dependence beyond libm's log2 — validated
@@ -286,6 +306,7 @@ let () =
           Alcotest.test_case "BENCH_sched.json" `Quick test_bench_sched;
           Alcotest.test_case "BENCH_serve.json" `Quick test_bench_serve;
           Alcotest.test_case "BENCH_fuse.json" `Quick test_bench_fuse;
+          Alcotest.test_case "BENCH_codec.json" `Quick test_bench_codec;
           Alcotest.test_case "VERIFY_core.json" `Quick test_verify_certificate;
           Alcotest.test_case "CHAOS_report.json" `Quick test_chaos_report;
           Alcotest.test_case "TRACE_gemm(_chrome).json" `Quick test_trace_artifacts;

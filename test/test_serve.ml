@@ -106,45 +106,49 @@ let test_response_roundtrip () =
           | _ -> Alcotest.fail "response kind changed in flight"))
     resps
 
+(* Frames the decoder must reject, each for the reason named. *)
+let reject_frames =
+  [ ( "unknown op",
+      {|{"schema":"fpan-serve/1","id":1,"op":"cbrt","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "unknown tier",
+      {|{"schema":"fpan-serve/1","id":1,"op":"add","tier":"mf9","x":[["0x1p+0"]]}|} );
+    ( "wrong component count",
+      {|{"schema":"fpan-serve/1","id":1,"op":"sqrt","tier":"mf3","x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "missing y",
+      {|{"schema":"fpan-serve/1","id":1,"op":"mul","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "unknown key",
+      {|{"schema":"fpan-serve/1","id":1,"op":"stats","junk":true}|} );
+    ("bad schema", {|{"schema":"fpan-serve/9","id":1,"op":"stats"}|});
+    ( "sla and tier together",
+      {|{"schema":"fpan-serve/2","id":1,"op":"add","tier":"mf2","sla":80,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|} );
+    ( "sla on an uncertifiable op",
+      {|{"schema":"fpan-serve/2","id":1,"op":"exp","sla":80,"x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "sla out of range",
+      {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":500,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|} );
+    ( "sla with non-uniform operand widths",
+      {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":80,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0"]]}|} );
+    ( "sla with non-finite operands",
+      {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":80,"x":[["inf"]],"y":[["0x1p+0"]]}|} );
+    ( "axpy length mismatch",
+      {|{"schema":"fpan-serve/1","id":1,"op":"axpy","tier":"mf2","x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|} );
+    ( "unknown program chain",
+      {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","prog":["dot","sum"],"x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "program without prog",
+      {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "prog on a plain op",
+      {|{"schema":"fpan-serve/1","id":1,"op":"sum","tier":"mf2","prog":["sum"],"x":[["0x1p+0","0x0p+0"]]}|} );
+    ( "z on a plain op",
+      {|{"schema":"fpan-serve/1","id":1,"op":"sum","tier":"mf2","x":[["0x1p+0","0x0p+0"]],"z":[["0x1p+0","0x0p+0"]]}|} );
+    ( "program axpy;dot missing z",
+      {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","prog":["axpy","dot"],"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"],["0x1p+1","0x0p+0"]]}|} ) ]
+
 let test_request_validation () =
-  let reject msg json =
-    match P.request_of_json (J.parse_exn json) with
-    | Ok _ -> Alcotest.fail (msg ^ ": accepted")
-    | Error _ -> ()
-  in
-  reject "unknown op"
-    {|{"schema":"fpan-serve/1","id":1,"op":"cbrt","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|};
-  reject "unknown tier"
-    {|{"schema":"fpan-serve/1","id":1,"op":"add","tier":"mf9","x":[["0x1p+0"]]}|};
-  reject "wrong component count"
-    {|{"schema":"fpan-serve/1","id":1,"op":"sqrt","tier":"mf3","x":[["0x1p+0","0x0p+0"]]}|};
-  reject "missing y"
-    {|{"schema":"fpan-serve/1","id":1,"op":"mul","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|};
-  reject "unknown key"
-    {|{"schema":"fpan-serve/1","id":1,"op":"stats","junk":true}|};
-  reject "bad schema" {|{"schema":"fpan-serve/9","id":1,"op":"stats"}|};
-  reject "sla and tier together"
-    {|{"schema":"fpan-serve/2","id":1,"op":"add","tier":"mf2","sla":80,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|};
-  reject "sla on an uncertifiable op"
-    {|{"schema":"fpan-serve/2","id":1,"op":"exp","sla":80,"x":[["0x1p+0","0x0p+0"]]}|};
-  reject "sla out of range"
-    {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":500,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|};
-  reject "sla with non-uniform operand widths"
-    {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":80,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0"]]}|};
-  reject "sla with non-finite operands"
-    {|{"schema":"fpan-serve/2","id":1,"op":"add","sla":80,"x":[["inf"]],"y":[["0x1p+0"]]}|};
-  reject "axpy length mismatch"
-    {|{"schema":"fpan-serve/1","id":1,"op":"axpy","tier":"mf2","x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|};
-  reject "unknown program chain"
-    {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","prog":["dot","sum"],"x":[["0x1p+0","0x0p+0"]]}|};
-  reject "program without prog"
-    {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","x":[["0x1p+0","0x0p+0"]]}|};
-  reject "prog on a plain op"
-    {|{"schema":"fpan-serve/1","id":1,"op":"sum","tier":"mf2","prog":["sum"],"x":[["0x1p+0","0x0p+0"]]}|};
-  reject "z on a plain op"
-    {|{"schema":"fpan-serve/1","id":1,"op":"sum","tier":"mf2","x":[["0x1p+0","0x0p+0"]],"z":[["0x1p+0","0x0p+0"]]}|};
-  reject "program axpy;dot missing z"
-    {|{"schema":"fpan-serve/1","id":1,"op":"program","tier":"mf2","prog":["axpy","dot"],"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"],["0x1p+1","0x0p+0"]]}|}
+  List.iter
+    (fun (msg, json) ->
+      match P.request_of_json (J.parse_exn json) with
+      | Ok _ -> Alcotest.fail (msg ^ ": accepted")
+      | Error _ -> ())
+    reject_frames
 
 let test_deframer_fragmentation () =
   let payloads = [ "alpha"; ""; String.make 5000 'x'; "{\"last\":1}" ] in
@@ -289,6 +293,263 @@ let requests_for_op ~tier ~op ~first_id =
     | P.Stats -> []
   in
   (reqs, first_id + List.length reqs)
+
+(* --- hex codec and single-pass decoder --------------------------------- *)
+
+(* The component codec before the C primitives: what float_to_wire and
+   float_of_wire must stay byte for byte and bit for bit. *)
+let reference_to_wire c =
+  if Float.is_nan c then Printf.sprintf "nan:%Lx" (bits c) else Printf.sprintf "%h" c
+
+let reference_of_wire s =
+  if String.length s > 4 && String.sub s 0 4 = "nan:" then
+    match Int64.of_string_opt ("0x" ^ String.sub s 4 (String.length s - 4)) with
+    | Some b when Float.is_nan (Int64.float_of_bits b) -> Some (Int64.float_of_bits b)
+    | _ -> None
+  else float_of_string_opt s
+
+let same_float_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some u, Some v -> Int64.equal (bits u) (bits v)
+  | _ -> false
+
+let show_float_opt = function
+  | None -> "None"
+  | Some f -> Printf.sprintf "Some %Lx" (bits f)
+
+(* IEEE edges, NaN payloads (quiet, signalling, sign bit) and every
+   component the adversarial corpus draws at each tier. *)
+let codec_values () =
+  let of_bits = Int64.float_of_bits in
+  let edges =
+    [ 0.0; -0.0; 4.9e-324; -4.9e-324; of_bits 0x000fffffffffffffL;
+      of_bits 0x800fffffffffffffL; Float.min_float; -.Float.min_float; Float.max_float;
+      -.Float.max_float; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan;
+      of_bits 0x7ff8000000000000L; of_bits 0x7ff0000000000001L; of_bits 0x7ff4000000000000L;
+      of_bits 0xfff8000000000000L; of_bits 0xfff0000000000001L; of_bits 0xffffffffffffffffL;
+      of_bits 0x7fffffffffffffffL; 1.0; -1.5; 0.1; 3.0; 1e300; 1e-300; 0x1p-1022; 0x1p1023;
+      0x1.0000000000001p0; 0x1.fffffffffffffp0 ]
+  in
+  let corpus =
+    List.concat_map
+      (fun terms ->
+        let rng = Random.State.make [| 0xc0dec; terms |] in
+        List.concat_map
+          (fun i ->
+            let c = Check.Corpus.scalar_case rng ~terms i in
+            Array.to_list c.Check.Corpus.x @ Array.to_list c.Check.Corpus.y)
+          (List.init 256 Fun.id))
+      [ 2; 3; 4 ]
+  in
+  edges @ corpus
+
+let check_decode s =
+  let want = reference_of_wire s and got = P.float_of_wire s in
+  if not (same_float_opt want got) then
+    Alcotest.failf "float_of_wire %S: %s, reference %s" s (show_float_opt got)
+      (show_float_opt want)
+
+let check_value c =
+  let want = reference_to_wire c in
+  let got = P.float_to_wire c in
+  if got <> want then Alcotest.failf "float_to_wire %Lx: %S, Printf %S" (bits c) got want;
+  match P.float_of_wire got with
+  | Some d when Int64.equal (bits d) (bits c) -> check_decode got
+  | d -> Alcotest.failf "float_of_wire %S: %s, want %Lx" got (show_float_opt d) (bits c)
+
+let test_hex_codec () =
+  let values = codec_values () in
+  List.iter check_value values;
+  let rng = Random.State.make [| 0x4e7; 1 |] in
+  for _ = 1 to 1 lsl 20 do
+    check_value (Int64.float_of_bits (Random.State.bits64 rng))
+  done;
+  (* spellings only the general fallback takes (or nobody does), and
+     every truncation of each and of the canonical strings *)
+  let noncanonical =
+    [ "0X1p+0"; "0x1.80p+1"; "0x1p+01"; "0x1_0p+0"; "1.5"; "inf"; "+0x1p+0"; "0x1p+1024";
+      "0x0.8p-1023"; "0x1.p+0"; "nan:7FF8000000000000"; "nan:07ff8000000000001";
+      "nan:7ff80000000000000"; "nan:7ff0000000000000"; "nan:0x7ff8000000000000"; "nan";
+      "-nan:7ff8000000000000"; "-infinity"; "Infinity"; "0x0p-0"; "0x0p+1"; "-0x0p+0";
+      "0x0.0000000000001p-1023"; "0x1.0000000000000p+0"; "0x1.00000000000001p+0";
+      "0x1p-1023"; "0x1p+00"; "0x1p-0"; "0x1P+0"; "0x1.Ap+0"; " 0x1p+0"; "0x1p+0 "; "";
+      "-"; "0x"; "0x1p"; "0x1p+"; "0x1.8p+1\000" ]
+  in
+  List.iter
+    (fun s ->
+      for len = 0 to String.length s do
+        check_decode (String.sub s 0 len)
+      done)
+    (noncanonical @ List.map reference_to_wire values)
+
+let bits_equal a b = Int64.equal (bits a) (bits b)
+
+let same_elements a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun ea eb -> Array.length ea = Array.length eb && Array.for_all2 bits_equal ea eb)
+       a b
+
+let same_request (a : P.request) (b : P.request) =
+  a.P.id = b.P.id && a.P.op = b.P.op && a.P.tier = b.P.tier && a.P.sla = b.P.sla
+  && (match (a.P.deadline_ms, b.P.deadline_ms) with
+     | None, None -> true
+     | Some u, Some v -> bits_equal u v
+     | _ -> false)
+  && a.P.prog = b.P.prog && same_elements a.P.x b.P.x && same_elements a.P.y b.P.y
+  && same_elements a.P.z b.P.z
+
+let generic_decode frame =
+  match J.parse frame with
+  | Error e -> Error ("bad json: " ^ e)
+  | Ok doc -> P.request_of_json doc
+
+(* The single-pass decoder's contract on one frame: it does not raise,
+   and a Some is exactly what the generic path decodes.  Returns
+   whether it took the frame. *)
+let check_frame label frame =
+  match P.request_of_frame frame with
+  | exception e -> Alcotest.failf "%s: request_of_frame raised %s" label (Printexc.to_string e)
+  | None -> false
+  | Some r -> (
+      match generic_decode frame with
+      | Ok r' ->
+          if not (same_request r r') then
+            Alcotest.failf "%s: single-pass decode differs from the generic one on %S" label
+              frame;
+          true
+      | Error e -> Alcotest.failf "%s: single-pass took %S, generic rejects it: %s" label frame e)
+
+let compact r = J.to_string_compact (P.request_to_json r)
+
+let test_frame_decoder () =
+  (* every op x tier over corpus operands, and sla frames at each
+     element width: all take the single pass, bitwise *)
+  let taken label r =
+    let frame = compact r in
+    if not (check_frame label frame) then Alcotest.failf "%s: single pass declined %S" label frame;
+    if not (same_request r (Option.get (P.request_of_frame frame))) then
+      Alcotest.failf "%s: decoded request differs from the one encoded" label
+  in
+  List.iter
+    (fun tier ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun r -> taken (Printf.sprintf "%s/%s" (P.tier_name tier) (P.op_name op)) r)
+            (fst (requests_for_op ~tier ~op ~first_id:1)))
+        P.compute_ops)
+    [ P.Mf2; P.Mf3; P.Mf4 ];
+  List.iter
+    (fun w ->
+      let el k = Array.init w (fun j -> Float.ldexp (1.0 +. float_of_int k) (-60 * j)) in
+      taken
+        (Printf.sprintf "sla width %d" w)
+        (mk_req ~sla:140 ~id:(1000 + w) ~op:P.Dot
+           ~tier:(match w with 3 -> P.Mf3 | 4 -> P.Mf4 | _ -> P.Mf2)
+           ~x:(Array.init 5 el) ~y:(Array.init 5 (fun k -> el (k + 7))) ()))
+    [ 1; 2; 3; 4 ];
+  taken "stats" (mk_req ~id:(-3) ~op:P.Stats ~tier:P.Mf2 ~x:[||] ~y:[||] ());
+  taken "integral deadline"
+    (mk_req ~deadline_ms:250.0 ~id:9 ~op:P.Add ~tier:P.Mf2 ~x:[| [| 1.0; 0.0 |] |]
+       ~y:[| [| 2.0; 0.0 |] |] ());
+  (* everything the generic decoder rejects, the single pass declines *)
+  List.iter
+    (fun (msg, frame) ->
+      if check_frame msg frame then Alcotest.failf "%s: single pass accepted a reject" msg)
+    reject_frames;
+  (* mutations of a small frame *)
+  let base =
+    compact
+      (mk_req ~id:12 ~op:P.Dot ~tier:P.Mf2
+         ~x:[| [| 1.5; 0x1p-60 |]; [| -0.0; 4.9e-324 |] |]
+         ~y:[| [| Float.nan; 0.0 |]; [| Float.infinity; -2.0 |] |] ())
+  in
+  let n = String.length base in
+  let mutants = ref [] in
+  let add s = mutants := s :: !mutants in
+  for i = 0 to n do
+    add (String.sub base 0 i);
+    add (String.sub base 0 i ^ " " ^ String.sub base i (n - i));
+    add (String.sub base 0 i ^ "\n" ^ String.sub base i (n - i))
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c ->
+        let b = Bytes.of_string base in
+        Bytes.set b i c;
+        add (Bytes.to_string b))
+      [ Char.chr (Char.code base.[i] lxor 0x01); Char.chr (Char.code base.[i] lxor 0x20);
+        '"'; '\\'; ','; ']'; '['; '0'; 'x'; '-'; ' '; '\000'; '\255' ]
+  done;
+  let replace sub by s =
+    let ls = String.length sub in
+    let rec go i =
+      if i + ls > String.length s then s
+      else if String.sub s i ls = sub then
+        String.sub s 0 i ^ by ^ String.sub s (i + ls) (String.length s - i - ls)
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (sub, by) -> add (replace sub by base))
+    [ ({|"id":12|}, {|"id":12.0|}); ({|"id":12|}, {|"id":1.2e1|}); ({|"id":12|}, {|"id":1e300|});
+      ({|"id":12|}, {|"id":-0|}); ({|"id":12|}, {|"id":9007199254740993|});
+      ({|"id":12|}, {|"id":9007199254740992|}); ({|"id":12|}, {|"id":0012|});
+      ({|"id":12|}, {|"id":"12"|}); ({|"op"|}, {|"\u006fp"|}); ({|"x"|}, {|"\u0078"|});
+      ({|"0x1.8p+0"|}, {|"0x1.8p\u002b0"|}); ({|"0x1.8p+0"|}, {|"0X1.8P+0"|});
+      ({|"0x1.8p+0"|}, {|"0x1.80p+0"|}); ({|"0x1.8p+0"|}, {|"1.5"|});
+      ({|"0x1.8p+0"|}, {|"0x1.8p+0","0x0p+0"|}); ({|"0x1.8p+0",|}, "");
+      ({|"tier":"mf2"|}, {|"tier":"mf3"|}); ({|"tier":"mf2"|}, {|"sla":140|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","tier":"mf2"|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","junk":1|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","deadline_ms":2.5|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","deadline_ms":-0|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","deadline_ms":30|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","prog":[]|});
+      ({|"tier":"mf2"|}, {|"tier":"mf2","z":[]|}); ({|"x":[|}, {|"x":[],"w":[|});
+      ({|"y":[|}, {|"y":[[]],"q":[|}); ({|"schema":"fpan-serve/1"|}, {|"schema":"fpan-serve/2"|});
+      ({|"schema":"fpan-serve/1",|}, "") ];
+  add (base ^ " ");
+  add (base ^ "{}");
+  add (replace {|"x":[|} {|"x":[],"z":[|} base);
+  let taken = List.filter (fun m -> check_frame "mutant" m) !mutants in
+  (* the renamed-but-equivalent spellings still take the single pass *)
+  List.iter
+    (fun m ->
+      if not (List.mem m taken) then Alcotest.failf "single pass declined %S" m)
+    [ base; replace {|"tier":"mf2"|} {|"tier":"mf2","deadline_ms":30|} base;
+      replace {|"id":12|} {|"id":9007199254740992|} base;
+      replace {|"schema":"fpan-serve/1"|} {|"schema":"fpan-serve/2"|} base ]
+
+(* id and sla are integers of magnitude at most 2^53: int_of_float of a
+   larger integral double is unspecified, so such a frame is refused
+   instead of echoing or range-checking an arbitrary int. *)
+let test_integer_fields () =
+  let frame k v =
+    Printf.sprintf
+      {|{"schema":"fpan-serve/2","id":%s,"op":"add","%s":%s,"x":[["0x1p+0","0x0p+0"]],"y":[["0x1p+0","0x0p+0"]]}|}
+      (if k = "id" then v else "5")
+      (if k = "id" then "tier" else "sla")
+      (if k = "id" then {|"mf2"|} else v)
+  in
+  List.iter
+    (fun (k, v) ->
+      match generic_decode (frame k v) with
+      | Ok r -> Alcotest.failf "%s %s accepted (id %d)" k v r.P.id
+      | Error e ->
+          if not (String.length e >= String.length k && String.sub e 0 (String.length k) = k)
+          then Alcotest.failf "%s %s: rejected for another reason: %s" k v e)
+    [ ("id", "1e300"); ("id", "-1e300"); ("id", "9007199254740994"); ("sla", "1e300");
+      ("sla", "-1e300"); ("sla", "18014398509481984") ];
+  (match generic_decode (frame "id" "9007199254740992") with
+  | Ok r -> Alcotest.(check int) "id 2^53" (1 lsl 53) r.P.id
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (option int)) "2^53 + 2" None (P.int_of_wire_num 0x1.0000000000001p53);
+  Alcotest.(check (option int)) "-2^53" (Some (-(1 lsl 53))) (P.int_of_wire_num (-0x1p53));
+  Alcotest.(check (option int)) "1.5" None (P.int_of_wire_num 1.5)
 
 let test_bitwise_vs_scalar () =
   with_server ~queue_capacity:512 ~max_batch:64 ~window_us:2000. (fun _srv addr ->
@@ -573,6 +834,54 @@ let test_wire_errors () =
           | Error e -> Alcotest.fail e)
       | None -> Alcotest.fail "no reply to unknown-op frame")
 
+(* The server's single-pass decode and its generic fallback answer
+   alike: a compact frame and the same request with whitespace (which
+   the single pass declines) get byte-identical replies, and an id past
+   2^53 is echoed as 0 on the error reply. *)
+let test_fast_path_fallback () =
+  with_server (fun _srv addr ->
+      let fd =
+        match addr with
+        | Serve.Server.Unix_path p ->
+            let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+            Unix.connect fd (ADDR_UNIX p);
+            fd
+        | _ -> Alcotest.fail "unix fixture expected"
+      in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let call payload =
+            P.write_frame fd payload;
+            match P.read_frame fd with
+            | Some reply -> reply
+            | None -> Alcotest.fail "no reply"
+          in
+          let spaced s =
+            String.concat ", " (String.split_on_char ',' s)
+          in
+          List.iter
+            (fun r ->
+              let frame = compact r in
+              Alcotest.(check bool) "single pass takes the compact frame" true
+                (P.request_of_frame frame <> None);
+              Alcotest.(check bool) "single pass declines the spaced frame" true
+                (P.request_of_frame (spaced frame) = None);
+              Alcotest.(check string)
+                (P.op_name r.P.op ^ ": same reply either way")
+                (call frame) (call (spaced frame)))
+            (fst (requests_for_op ~tier:P.Mf3 ~op:P.Dot ~first_id:5)
+            @ [ mk_req ~sla:140 ~id:77 ~op:P.Mul ~tier:P.Mf2 ~x:[| [| 1.5; 0x1p-70 |] |]
+                  ~y:[| [| 3.0; 0.0 |] |] () ]);
+          match
+            P.response_of_json
+              (J.parse_exn
+                 (call {|{"schema":"fpan-serve/1","id":1e300,"op":"add","tier":"mf2"}|}))
+          with
+          | Ok (P.Failed { id; _ }) -> Alcotest.(check int) "huge id echoed as 0" 0 id
+          | Ok _ -> Alcotest.fail "huge id accepted"
+          | Error e -> Alcotest.fail e))
+
 (* One client vanishing with unread replies pending must not take the
    service down: SIGPIPE is ignored, so the failed reply write just
    marks the conn dead and the io domain sweeps (and closes) it. *)
@@ -712,6 +1021,9 @@ let () =
         [ Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "request validation" `Quick test_request_validation;
+          Alcotest.test_case "hex codec vs Printf" `Quick test_hex_codec;
+          Alcotest.test_case "single-pass decoder" `Quick test_frame_decoder;
+          Alcotest.test_case "integer fields within 2^53" `Quick test_integer_fields;
           Alcotest.test_case "deframer fragmentation" `Quick test_deframer_fragmentation;
           Alcotest.test_case "deframer large frame" `Quick test_deframer_large_frame ] );
       ( "bitwise",
@@ -724,6 +1036,7 @@ let () =
         [ Alcotest.test_case "bound holds, sheds explicit" `Quick test_admission_bound;
           Alcotest.test_case "deadline shed" `Quick test_deadline_shed;
           Alcotest.test_case "wire errors" `Quick test_wire_errors;
+          Alcotest.test_case "single pass = fallback" `Quick test_fast_path_fallback;
           Alcotest.test_case "abrupt disconnect survived" `Quick test_abrupt_disconnect;
           Alcotest.test_case "wire stats" `Quick test_wire_stats ] );
       ( "drain",
