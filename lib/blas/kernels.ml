@@ -62,9 +62,7 @@ module Make_batched (N : Numeric.BATCHED) = struct
 
   let gemv ~m ~n ~a ~x ~y =
     assert (V.length a = m * n && V.length x = n && V.length y = m);
-    for i = 0 to m - 1 do
-      V.set y i (V.dot ~init:N.zero ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n)
-    done
+    V.dot_rows ~a ~aoff:0 ~ld:n ~x ~xoff:0 ~len:n ~dst:y ~lo:0 ~hi:m
 
   let gemm ~m ~n ~k ~a ~b ~c =
     assert (V.length a = m * k && V.length b = k * n && V.length c = m * n);
@@ -84,11 +82,13 @@ module Make_batched (N : Numeric.BATCHED) = struct
     assert (V.length y = n && V.length w = n);
     V.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:N.zero
 
+  (* the GEMV rows, then [dot_sub]'s tail row by row: [V.sub] of each
+     fold from its [b] entry *)
   let gemv_residual ~m ~n ~a ~x ~b ~r =
     assert (V.length a = m * n && V.length x = n && V.length b = m && V.length r = m);
-    for i = 0 to m - 1 do
-      V.set r i (V.dot_sub ~b:(V.get b i) ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n)
-    done
+    let acc = if r == b then V.create m else r in
+    V.dot_rows ~a ~aoff:0 ~ld:n ~x ~xoff:0 ~len:n ~dst:acc ~lo:0 ~hi:m;
+    V.sub ~dst:r b acc
 
   (* Runtime variants: the work-stealing scheduler + tiled engine
      (lib/runtime).  GEMV/GEMM/AXPY are bitwise equal to the

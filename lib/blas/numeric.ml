@@ -34,6 +34,10 @@ module type VEC = sig
   type t
 
   val terms : int
+
+  val lanes : int
+  (** Rows {!dot_rows} folds side by side. *)
+
   val length : t -> int
   val create : int -> t
   val copy : t -> t
@@ -62,6 +66,12 @@ module type VEC = sig
   val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
   (** Fused [sub b (dot ~init:zero ...)] — the GEMV-residual row —
       bitwise equal to the unfused composition. *)
+
+  val dot_rows :
+    a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
+  (** [dst.(i) <- dot ~init:zero ~x:a ~xoff:(aoff + i*ld) ~y:x ~yoff:xoff
+      ~len] for [lo <= i < hi]: the GEMV rows, each bitwise its own
+      [dot]. *)
 
   val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
   (** Fused [axpy] + [dot ~x:y ~y:w] over [lo <= i < hi]; updates [y]
