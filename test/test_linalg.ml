@@ -171,6 +171,55 @@ let test_refinement_well_conditioned () =
     if d > 1e-55 then Alcotest.failf "x_%d off by %h" i d
   done
 
+(* A stalled refinement step is rejected, so the returned solution is
+   the iterate whose residual is reported: recomputing b - A x from the
+   returned x gives [final_residual_norm] exactly, for the scalar and
+   the planar solver alike, and the two agree bit for bit. *)
+module Best (M : Multifloat.Ops.S) (V : Multifloat.Batch.V with type elt = M.t) = struct
+  module L = Linalg.Make (M)
+  module R = Linalg.Refine (M)
+  module Rb = Linalg.Refine_batched (M) (V)
+
+  let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+  let check ~what ~n a b =
+    let x, st = R.solve ~n ~a ~b () in
+    let rn = M.to_float (L.norm_inf (L.residual ~n ~a:(L.mat_of_floats a) ~x ~b)) in
+    if not (bits_eq rn st.R.final_residual_norm) then
+      Alcotest.failf "%s: returned x has residual %h, reported %h (%d iters)" what rn
+        st.R.final_residual_norm st.R.iterations;
+    let xb, stb = Rb.solve ~n ~a ~b () in
+    if stb.Rb.iterations <> st.R.iterations || not (bits_eq stb.Rb.final_residual_norm rn) then
+      Alcotest.failf "%s: planar solver stats differ" what;
+    Array.iteri
+      (fun i xi ->
+        if not (Array.for_all2 bits_eq (M.components xi) (M.components xb.(i))) then
+          Alcotest.failf "%s: planar x_%d differs" what i)
+      x
+
+  let run () =
+    List.iter
+      (fun n ->
+        let a = hilbert n in
+        let b = L.mat_vec ~n (L.mat_of_floats a) (Array.make n M.one) in
+        check ~what:(Printf.sprintf "hilbert %d" n) ~n a b)
+      [ 7; 9; 10; 12 ];
+    let n = 64 in
+    let a = Array.init (n * n) (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+    for i = 0 to n - 1 do
+      let s = ref 1.0 in
+      for j = 0 to n - 1 do
+        if j <> i then s := !s +. Float.abs a.((i * n) + j)
+      done;
+      a.((i * n) + i) <- !s
+    done;
+    let b = Array.init n (fun _ -> M.of_components (Fpan.Gen.expansion rng ~n:M.terms ())) in
+    check ~what:"diagonally dominant 64" ~n a b
+end
+
+module Best2 = Best (Multifloat.Mf2) (Multifloat.Batch.Mf2v)
+module Best4 = Best (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
+
 let () =
   Alcotest.run "linalg"
     [ ( "lu",
@@ -186,4 +235,6 @@ let () =
       ( "refinement",
         [ Alcotest.test_case "hilbert 8" `Quick test_refinement_hilbert;
           Alcotest.test_case "beats double" `Quick test_refinement_beats_double;
-          Alcotest.test_case "well conditioned" `Quick test_refinement_well_conditioned ] ) ]
+          Alcotest.test_case "well conditioned" `Quick test_refinement_well_conditioned;
+          Alcotest.test_case "returns best iterate mf2" `Quick Best2.run;
+          Alcotest.test_case "returns best iterate mf4" `Quick Best4.run ] ) ]
