@@ -12,7 +12,7 @@ val bench_fig : Schema.t
 (** [BENCH_fig9.json], [BENCH_fig10.json], [BENCH_fig11.json]. *)
 
 val bench_sched : Schema.t
-(** [BENCH_sched.json], schema id [fpan-bench-sched/3]. *)
+(** [BENCH_sched.json], schema id [fpan-bench-sched/4]. *)
 
 val check_report : Schema.t
 (** [CHECK_report.json], schema id [fpan-check/1]. *)

@@ -57,7 +57,22 @@ let test_bench_sched () =
         (list "telemetry" point);
       Alcotest.(check (float 0.0)) "spread.n = reps" (num "reps" doc)
         (num "n" (Option.get (J.member "spread" point))))
-    (list "curve" doc)
+    (list "curve" doc);
+  Alcotest.(check (option string)) "schema id" (Some "fpan-bench-sched/4")
+    (Option.bind (J.member "schema" doc) J.to_str);
+  (* the GEMV rung: every path bitwise the per-row loop, medians over
+     all reps *)
+  let gemv = Option.get (J.member "gemv" doc) in
+  let flag k v = match J.member k v with Some (J.Bool b) -> Some b | _ -> None in
+  Alcotest.(check (option bool)) "gemv dot_rows bitwise" (Some true)
+    (flag "dot_rows_bitwise_equal_per_row" gemv);
+  List.iter
+    (fun point ->
+      Alcotest.(check (option bool)) "gemv runtime bitwise" (Some true)
+        (flag "bitwise_equal_per_row" point);
+      Alcotest.(check (float 0.0)) "gemv spread.n = reps" (num "reps" doc)
+        (num "n" (Option.get (J.member "spread" point))))
+    (list "curve" gemv)
 
 let test_bench_serve () =
   validate_file "BENCH_serve.json" Obs.Schemas.bench_serve (artifact "BENCH_serve.json")

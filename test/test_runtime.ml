@@ -427,6 +427,48 @@ let test_engine_dot_deterministic_across_workers () =
     "tree dot close to sequential dot" true
     (Float.abs (reference -. seq) <= 1e-12 *. Float.max 1.0 (Float.abs seq))
 
+(* GEMV and the residual run on [dot_rows], whole lane groups per leaf:
+   bitwise the scalar element-record fold of [Kernels.Make] (the
+   residual: that GEMV, then [sub] from b), NaN payload included, for
+   row counts around the lane width and at 1, 2 and 4 workers. *)
+module S3 = Blas.Kernels.Make (N3)
+
+let test_engine_gemv_rows_vs_scalar () =
+  let module M3 = Multifloat.Mf3 in
+  let n = 70 and lanes = K3.V.lanes in
+  let same p q = floats_equal_bitwise (M3.components p) (M3.components q) in
+  List.iter
+    (fun m ->
+      let a = Gen3.vec (m * n) (100 + m) and x = Gen3.vec n 101 and b = Gen3.vec m 102 in
+      (* one row holds two NaNs with distinct payloads *)
+      let nan_row = m / 2 in
+      K3.V.set a ((nan_row * n) + 3)
+        (M3.of_components
+           [| Int64.float_of_bits 0x7ff0000000000001L; Int64.float_of_bits 0xfff8000000000002L; 0.0 |]);
+      let sa = K3.V.to_array a and sx = K3.V.to_array x and sb = K3.V.to_array b in
+      let y_ref = Array.make m N3.zero in
+      S3.gemv ~m ~n ~a:sa ~x:sx ~y:y_ref;
+      let r_ref = Array.mapi (fun i bi -> M3.sub bi y_ref.(i)) sb in
+      Alcotest.(check bool) "the NaN row is NaN" true (Float.is_nan (M3.to_float y_ref.(nan_row)));
+      List.iter
+        (fun w ->
+          Sched.with_sched ~workers:w (fun rt ->
+              let check what want v =
+                Array.iteri
+                  (fun i e ->
+                    if not (same e (K3.V.get v i)) then
+                      Alcotest.failf "%s m=%d row %d @%d workers differs from the scalar fold" what m i w)
+                  want
+              in
+              let y = K3.V.create m in
+              K3.gemv_rt rt ~m ~n ~a ~x ~y;
+              check "gemv_rt" y_ref y;
+              let r = K3.V.create m in
+              K3.gemv_residual_rt rt ~m ~n ~a ~x ~b ~r;
+              check "gemv_residual_rt" r_ref r))
+        [ 1; 2; 4 ])
+    [ 1; lanes - 1; lanes + 1; 37; 1000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Refinement through the runtime *)
 
@@ -459,6 +501,44 @@ let test_refine_rt_bitwise () =
                x_seq x_rt)))
     worker_counts;
   Alcotest.(check bool) "converged" true s_seq.converged
+
+(* The planar solver's trajectory is the scalar [Linalg.Refine]'s: the
+   same iteration count, final residual and solution bits, with the
+   residual on the runtime's lane-group GEMV leaves at 1 and 4
+   workers. *)
+module Refine2s = Linalg.Refine (Multifloat.Mf2)
+module Refine4 = Linalg.Refine_batched (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
+module Refine4s = Linalg.Refine (Multifloat.Mf4)
+
+let test_refine_rt_vs_scalar () =
+  let n = 45 in
+  let st = Random.State.make [| 78 |] in
+  let a =
+    Array.init (n * n) (fun idx ->
+        let i = idx / n and j = idx mod n in
+        if i = j then 3.0 +. Random.State.float st 1.0 else Random.State.float st 1.0 /. Float.of_int n)
+  in
+  let check name (iters, res, xs) (iters', res', xs') =
+    Alcotest.(check int) (name ^ " iterations") iters iters';
+    Alcotest.(check bool) (name ^ " final residual bitwise") true (floats_equal_bitwise [| res |] [| res' |]);
+    Alcotest.(check bool) (name ^ " solution bitwise") true (List.for_all2 floats_equal_bitwise xs xs')
+  in
+  let b2 = Array.init n (fun i -> Multifloat.Mf2.of_float (Float.cos (Float.of_int i))) in
+  let b4 = Array.init n (fun i -> Multifloat.Mf4.of_float (Float.cos (Float.of_int i))) in
+  let x, s = Refine2s.solve ~n ~a ~b:b2 () in
+  let want2 = (s.iterations, s.final_residual_norm, Array.to_list (Array.map Multifloat.Mf2.components x)) in
+  let x, s = Refine4s.solve ~n ~a ~b:b4 () in
+  let want4 = (s.iterations, s.final_residual_norm, Array.to_list (Array.map Multifloat.Mf4.components x)) in
+  List.iter
+    (fun w ->
+      Sched.with_sched ~workers:w (fun rt ->
+          let x, s = Refine2.solve ~rt ~n ~a ~b:b2 () in
+          check (Printf.sprintf "mf2 @%d" w) want2
+            (s.iterations, s.final_residual_norm, Array.to_list (Array.map Multifloat.Mf2.components x));
+          let x, s = Refine4.solve ~rt ~n ~a ~b:b4 () in
+          check (Printf.sprintf "mf4 @%d" w) want4
+            (s.iterations, s.final_residual_norm, Array.to_list (Array.map Multifloat.Mf4.components x))))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
@@ -615,10 +695,12 @@ let () =
         [ Alcotest.test_case "gemm bitwise mf2" `Quick test_engine_gemm_bitwise_mf2;
           Alcotest.test_case "gemm accumulates" `Quick test_engine_gemm_accumulates;
           Alcotest.test_case "gemv bitwise mf3" `Quick test_engine_gemv_bitwise_mf3;
+          Alcotest.test_case "gemv/residual rows = scalar fold" `Quick test_engine_gemv_rows_vs_scalar;
           Alcotest.test_case "axpy bitwise mf2" `Quick test_engine_axpy_bitwise_mf2;
           Alcotest.test_case "dot deterministic" `Quick test_engine_dot_deterministic_across_workers ] );
       ( "refine",
-        [ Alcotest.test_case "refine ?rt bitwise" `Quick test_refine_rt_bitwise ] );
+        [ Alcotest.test_case "refine ?rt bitwise" `Quick test_refine_rt_bitwise;
+          Alcotest.test_case "refine ?rt = scalar refine" `Quick test_refine_rt_vs_scalar ] );
       ( "telemetry",
         [ Alcotest.test_case "flops and tasks" `Quick test_telemetry_flops_and_tasks;
           Alcotest.test_case "reset exact @1 worker" `Quick test_reset_stats_1;
