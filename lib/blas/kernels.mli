@@ -53,7 +53,9 @@ module Make_batched (N : Numeric.BATCHED) : sig
   val dot : x:V.t -> y:V.t -> N.t
 
   val gemv : m:int -> n:int -> a:V.t -> x:V.t -> y:V.t -> unit
-  (** [y <- A x] with [A] an [m*n] row-major planar matrix. *)
+  (** [y <- A x] with [A] an [m*n] row-major planar matrix: one
+      {!Numeric.VEC.dot_rows} call, every row bitwise its scalar
+      fold. *)
 
   val gemm : m:int -> n:int -> k:int -> a:V.t -> b:V.t -> c:V.t -> unit
   (** [C <- C + A B] with [A : m*k], [B : k*n], [C : m*n], ikj order. *)
@@ -64,9 +66,9 @@ module Make_batched (N : Numeric.BATCHED) : sig
       chain); bitwise equal to {!axpy} followed by {!dot}. *)
 
   val gemv_residual : m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit
-  (** Fused [r <- b - A x] with the subtraction staged behind each
-      row's dot accumulator; bitwise equal to {!gemv} followed by an
-      elementwise subtract. *)
+  (** [r <- b - A x]: {!gemv} into [r] (a scratch vector when [r] is
+      [b]), then an elementwise subtract from [b]; bitwise equal to
+      [dot_sub] per row. *)
 
   (** {2 Runtime variants}
 
@@ -101,8 +103,8 @@ module Make_batched (N : Numeric.BATCHED) : sig
 
   val gemv_residual_rt :
     Runtime.Sched.t -> m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit
-  (** Fused row-partitioned [r <- b - A x]; bitwise equal to [gemv_rt]
-      followed by an elementwise subtract at any worker count. *)
+  (** Row-partitioned [r <- b - A x]; bitwise equal to {!gemv_residual}
+      at any worker count. *)
 
   val vec_of_floats : float array -> V.t
   val vec_to_floats : V.t -> float array
