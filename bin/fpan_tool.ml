@@ -2114,15 +2114,12 @@ let adaptive_cmd =
    generated from.  Bench mode times each fused kernel against its
    op-by-op composition over the same planes, demands bitwise
    equality (fusion never reorders or drops a gate, so anything else
-   is a bug), and writes the fpan-bench-fuse/2 artifact. *)
+   is a bug), and writes the fpan-bench-fuse/3 artifact. *)
 
 module Fuse_bench
     (M : Multifloat.Ops.S)
     (Vb : Multifloat.Batch.V with type elt = M.t) =
 struct
-  module E = Runtime.Engine.Make (M) (Vb)
-  module RB = Linalg.Refine_batched (M) (Vb)
-
   let scalar_eq a b =
     Array.for_all2
       (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
@@ -2131,14 +2128,14 @@ struct
   let vec_eq a b =
     Vb.length a = Vb.length b && Array.for_all2 scalar_eq (Vb.to_array a) (Vb.to_array b)
 
-  let run ~n ~nref ~reps ~workers ~out =
+  let run ~n ~reps ~out =
     let module J = Obs.Json_out in
     let rng = Random.State.make [| 0xf05e; n; Vb.terms |] in
     let rand_vec len =
       Vb.of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))
     in
-    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, median of %d, kernels %s\n"
-      M.precision_bits n nref reps (Multifloat.Batch.isa ());
+    Printf.printf "fuse: %d-bit ablation, vectors n = %d, median of %d, kernels %s\n"
+      M.precision_bits n reps (Multifloat.Batch.isa ());
     let time f = Obs.Sample.time ~reps f in
     let mismatches = ref 0 in
     let cell ~kernel ~unfused ~len ~(t_f : Obs.Sample.summary) ~(t_u : Obs.Sample.summary)
@@ -2179,9 +2176,7 @@ struct
         ~bitwise:(scalar_eq r_f r_u)
     in
     (* AXPY;DOT: the fused single-pass update-and-fold vs AXPY followed
-       by DOT re-reading the updated plane set.  Also checks the
-       engine's tree-reduced fused path against its own two-pass
-       composition at [workers]. *)
+       by DOT re-reading the updated plane set. *)
     let axpy_dot_cell =
       let alpha = Vb.get (rand_vec 1) 0 in
       let x = rand_vec n and y0 = rand_vec n and w = rand_vec n in
@@ -2197,103 +2192,15 @@ struct
             Vb.axpy ~lo:0 ~hi:n ~alpha ~x ~y;
             (Vb.dot ~init:M.zero ~x:y ~xoff:0 ~y:w ~yoff:0 ~len:n, y))
       in
-      let rt_ok =
-        Runtime.Sched.with_sched ~workers (fun rt ->
-            let yf = Vb.copy y0 and yu = Vb.copy y0 in
-            let af = E.axpy_dot rt ~alpha ~x ~y:yf ~w () in
-            E.axpy rt ~alpha ~x ~y:yu ();
-            let au = E.dot rt yu w in
-            scalar_eq af au && vec_eq yf yu)
-      in
       cell ~kernel:"axpy_dot" ~unfused:"axpy+dot" ~len:n ~t_f ~t_u
-        ~bitwise:(scalar_eq acc_f acc_u && vec_eq y_f y_u && rt_ok)
-    in
-    (* GEMV residual: per-row fused dot;sub vs GEMV into a temporary
-       vector followed by the elementwise subtract, the GEMV being the
-       library's [dot_rows] lane kernel.  Also checks the row-parallel
-       engine path at [workers]. *)
-    let gemv_cell =
-      let m = nref in
-      let a = rand_vec (m * m) and xv = rand_vec m and bv = rand_vec m in
-      let r_f = Vb.create m and r_u = Vb.create m and tmp = Vb.create m in
-      let t_f, () =
-        time (fun () ->
-            for i = 0 to m - 1 do
-              Vb.set r_f i
-                (Vb.dot_sub ~b:(Vb.get bv i) ~x:a ~xoff:(i * m) ~y:xv ~yoff:0 ~len:m)
-            done)
-      in
-      let t_u, () =
-        time (fun () ->
-            Vb.dot_rows ~a ~aoff:0 ~ld:m ~x:xv ~xoff:0 ~len:m ~dst:tmp ~lo:0 ~hi:m;
-            Vb.sub ~dst:r_u bv tmp)
-      in
-      let rt_ok =
-        Runtime.Sched.with_sched ~workers (fun rt ->
-            let r_rt = Vb.create m in
-            E.gemv_residual rt ~m ~n:m ~a ~x:xv ~b:bv ~r:r_rt ();
-            vec_eq r_rt r_f)
-      in
-      cell ~kernel:"gemv_residual" ~unfused:"gemv+sub" ~len:m ~t_f ~t_u
-        ~bitwise:(vec_eq r_f r_u && rt_ok)
-    in
-    (* Refinement: solve a diagonally dominant system once (sequential
-       and at [workers] -- solutions and stats must agree bitwise),
-       then time the per-iteration extended-precision work, the
-       residual pass, fused vs unfused at the converged solution. *)
-    let refine =
-      let nr = nref in
-      let rng2 = Random.State.make [| 0xbeef; nr; Vb.terms |] in
-      let a = Array.init (nr * nr) (fun _ -> Random.State.float rng2 2.0 -. 1.0) in
-      for i = 0 to nr - 1 do
-        a.((i * nr) + i) <- a.((i * nr) + i) +. Float.of_int nr
-      done;
-      let b = Array.init nr (fun _ -> M.of_float (Random.State.float rng2 2.0 -. 1.0)) in
-      let x_seq, stats = RB.solve ~n:nr ~a ~b () in
-      let x_rt, stats_rt =
-        Runtime.Sched.with_sched ~workers (fun rt -> RB.solve ~rt ~n:nr ~a ~b ())
-      in
-      let det_ok =
-        stats_rt.RB.iterations = stats.RB.iterations && Array.for_all2 scalar_eq x_rt x_seq
-      in
-      let am = Vb.of_floats a and xv = Vb.of_array x_seq and bv = Vb.of_array b in
-      let r_f = Vb.create nr and r_u = Vb.create nr and tmp = Vb.create nr in
-      let t_f, () =
-        time (fun () ->
-            for i = 0 to nr - 1 do
-              Vb.set r_f i
-                (Vb.dot_sub ~b:(Vb.get bv i) ~x:am ~xoff:(i * nr) ~y:xv ~yoff:0 ~len:nr)
-            done)
-      in
-      let t_u, () =
-        time (fun () ->
-            Vb.dot_rows ~a:am ~aoff:0 ~ld:nr ~x:xv ~xoff:0 ~len:nr ~dst:tmp ~lo:0 ~hi:nr;
-            Vb.sub ~dst:r_u bv tmp)
-      in
-      let bitwise = vec_eq r_f r_u && det_ok in
-      if not bitwise then incr mismatches;
-      Printf.printf
-        "  refine        fused iter %.6f s   unfused iter %.6f s   %.2fx  (%d iterations)  bitwise %s\n"
-        t_f.median t_u.median (t_u.median /. t_f.median) stats.RB.iterations
-        (if bitwise then "ok" else "MISMATCH");
-      J.Obj
-        [ ("bits", J.Num (Float.of_int M.precision_bits));
-          ("n", J.Num (Float.of_int nr));
-          ("iterations", J.Num (Float.of_int stats.RB.iterations));
-          ("fused_iter_s", J.Num t_f.median);
-          ("fused_spread", Obs.Sample.to_json t_f);
-          ("unfused_iter_s", J.Num t_u.median);
-          ("unfused_spread", Obs.Sample.to_json t_u);
-          ("speedup", J.Num (t_u.median /. t_f.median));
-          ("bitwise_equal", J.Bool bitwise) ]
+        ~bitwise:(scalar_eq acc_f acc_u && vec_eq y_f y_u)
     in
     let json =
       J.Obj
-        [ ("schema", J.Str "fpan-bench-fuse/2");
+        [ ("schema", J.Str "fpan-bench-fuse/3");
+          ("env", Obs.Env.json ~isa:(Multifloat.Batch.isa ()) ~cc:(Multifloat.Batch.cc ()));
           ("mode", J.Str "ablation-fusion");
-          ("workers", J.Num (Float.of_int workers));
-          ("cells", J.List [ dot_cell; axpy_dot_cell; gemv_cell ]);
-          ("refine", refine) ]
+          ("cells", J.List [ dot_cell; axpy_dot_cell ]) ]
     in
     Obs.Schema.check ~name:out Obs.Schemas.bench_fuse json;
     J.write_file out json;
@@ -2304,7 +2211,7 @@ struct
     end
 end
 
-let fuse_run dump terms n nref reps workers out =
+let fuse_run dump terms n reps out =
   drain_on_signal ();
   if terms < 2 || terms > 4 then begin
     Printf.eprintf "fuse: --terms must be 2, 3, or 4 (got %d)\n" terms;
@@ -2325,21 +2232,20 @@ let fuse_run dump terms n nref reps workers out =
       match terms with
       | 2 ->
           let module F = Fuse_bench (Multifloat.Mf2) (Multifloat.Batch.Mf2v) in
-          F.run ~n ~nref ~reps ~workers ~out
+          F.run ~n ~reps ~out
       | 3 ->
           let module F = Fuse_bench (Multifloat.Mf3) (Multifloat.Batch.Mf3v) in
-          F.run ~n ~nref ~reps ~workers ~out
+          F.run ~n ~reps ~out
       | _ ->
           let module F = Fuse_bench (Multifloat.Mf4) (Multifloat.Batch.Mf4v) in
-          F.run ~n ~nref ~reps ~workers ~out)
+          F.run ~n ~reps ~out)
 
 let fuse_cmd =
   let doc =
     "Cross-op fusion ablation over the FPAN wire-program IR: --dump prints the fused wire \
-     programs the planar kernels are generated from; otherwise times the fused kernels (dot, \
-     axpy_dot, and the per-row dot_sub residual at the gemv_residual and refinement shapes) \
-     against their op-by-op compositions (the residual's: the dot_rows GEMV, then a \
-     subtract), demands bitwise equality, and writes BENCH_fuse.json."
+     programs the planar kernels are generated from; otherwise times the fused kernels (dot \
+     and axpy_dot) against their op-by-op compositions, demands bitwise equality, and writes \
+     BENCH_fuse.json."
   in
   let dump_arg =
     Arg.(
@@ -2352,17 +2258,7 @@ let fuse_cmd =
     Arg.(value & opt int 2 & info [ "terms" ] ~docv:"T" ~doc:"MultiFloat terms (2, 3, or 4).")
   in
   let n_arg =
-    Arg.(value & opt int 65536 & info [ "n" ] ~docv:"N" ~doc:"Vector length for the 1-D kernels.")
-  in
-  let nref_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "nref" ] ~docv:"N" ~doc:"Matrix dimension for gemv_residual and refinement.")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W" ~doc:"Workers for the runtime determinism checks.")
+    Arg.(value & opt int 65536 & info [ "n" ] ~docv:"N" ~doc:"Vector length.")
   in
   let out_arg =
     Arg.(
@@ -2370,8 +2266,7 @@ let fuse_cmd =
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"JSON output path.")
   in
   Cmd.v (Cmd.info "fuse" ~doc)
-    Term.(
-      const fuse_run $ dump_arg $ terms_arg $ n_arg $ nref_arg $ reps_arg 5 $ workers_arg $ out_arg)
+    Term.(const fuse_run $ dump_arg $ terms_arg $ n_arg $ reps_arg 5 $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* verify: exhaustive small-width verification certificates.  Bit-blast
@@ -2523,7 +2418,7 @@ let verify_cmd =
                    mutant sloppy-add2).  Empty to skip.")
   in
   let chains_arg =
-    Arg.(value & opt string "sum_step:2,dot_step:2,residual_tail:2"
+    Arg.(value & opt string "sum_step:2,dot_step:2,sub:2"
          & info [ "chains" ] ~docv:"NAMES"
              ~doc:"Comma-separated fused chains as name:terms (see fpan_tool fuse --dump).  \
                    Empty to skip.")

@@ -73,23 +73,6 @@ module Make_batched (N : Numeric.BATCHED) = struct
       done
     done
 
-  (* Fused cross-op kernels: single-pass compositions emitted from the
-     wire-program IR (lib/fpan_ir Fuse).  Bitwise equal to the unfused
-     two-pass forms by construction. *)
-
-  let axpy_dot ~alpha ~x ~y ~w =
-    let n = V.length x in
-    assert (V.length y = n && V.length w = n);
-    V.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:N.zero
-
-  (* the GEMV rows, then [dot_sub]'s tail row by row: [V.sub] of each
-     fold from its [b] entry *)
-  let gemv_residual ~m ~n ~a ~x ~b ~r =
-    assert (V.length a = m * n && V.length x = n && V.length b = m && V.length r = m);
-    let acc = if r == b then V.create m else r in
-    V.dot_rows ~a ~aoff:0 ~ld:n ~x ~xoff:0 ~len:n ~dst:acc ~lo:0 ~hi:m;
-    V.sub ~dst:r b acc
-
   (* Runtime variants: the work-stealing scheduler + tiled engine
      (lib/runtime).  GEMV/GEMM/AXPY are bitwise equal to the
      sequential kernels above at any worker count and tile size; DOT
@@ -137,16 +120,6 @@ module Make_batched (N : Numeric.BATCHED) = struct
     assert (V.length a = m * k && V.length b = k * n && V.length c = m * n);
     traced "kernels.gemm_rt" (m * n * k) (fun () ->
         Rt.gemm rt ~cfg:(cfg_of ?tile ()) ~m ~n ~k ~a ~b ~c ())
-
-  let axpy_dot_rt rt ~alpha ~x ~y ~w =
-    let n = V.length x in
-    assert (V.length y = n && V.length w = n);
-    traced "kernels.axpy_dot_rt" (2 * n) (fun () -> Rt.axpy_dot rt ~alpha ~x ~y ~w ())
-
-  let gemv_residual_rt rt ~m ~n ~a ~x ~b ~r =
-    assert (V.length a = m * n && V.length x = n && V.length b = m && V.length r = m);
-    traced "kernels.gemv_residual_rt" (m * (n + 1)) (fun () ->
-        Rt.gemv_residual rt ~m ~n ~a ~x ~b ~r ())
 
   let vec_of_floats = V.of_floats
   let vec_to_floats = V.to_floats

@@ -60,16 +60,6 @@ module Make_batched (N : Numeric.BATCHED) : sig
   val gemm : m:int -> n:int -> k:int -> a:V.t -> b:V.t -> c:V.t -> unit
   (** [C <- C + A B] with [A : m*k], [B : k*n], [C : m*n], ikj order. *)
 
-  val axpy_dot : alpha:N.t -> x:V.t -> y:V.t -> w:V.t -> N.t
-  (** Fused [y <- alpha x + y] then [dot y w] in one pass over the
-      planes (the iterative-refinement update + convergence-check
-      chain); bitwise equal to {!axpy} followed by {!dot}. *)
-
-  val gemv_residual : m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit
-  (** [r <- b - A x]: {!gemv} into [r] (a scratch vector when [r] is
-      [b]), then an elementwise subtract from [b]; bitwise equal to
-      [dot_sub] per row. *)
-
   (** {2 Runtime variants}
 
       The parallel path: the work-stealing scheduler and
@@ -96,15 +86,6 @@ module Make_batched (N : Numeric.BATCHED) : sig
     unit
   (** [C <- C + A B], cache-blocked over [?tile] (default 64x64) with
       each tile a stealable task. *)
-
-  val axpy_dot_rt : Runtime.Sched.t -> alpha:N.t -> x:V.t -> y:V.t -> w:V.t -> N.t
-  (** Fused {!axpy_dot} on the engine's fixed reduction tree: bitwise
-      equal to [axpy_rt] followed by [dot_rt y w] at any worker count. *)
-
-  val gemv_residual_rt :
-    Runtime.Sched.t -> m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit
-  (** Row-partitioned [r <- b - A x]; bitwise equal to {!gemv_residual}
-      at any worker count. *)
 
   val vec_of_floats : float array -> V.t
   val vec_to_floats : V.t -> float array

@@ -63,10 +63,6 @@ module type VEC = sig
   val sum : init:elt -> x:t -> xoff:int -> len:int -> elt
   (** Index-order fold [acc <- add acc x.(xoff+i)]. *)
 
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  (** Fused [sub b (dot ~init:zero ...)] — the GEMV-residual row —
-      bitwise equal to the unfused composition. *)
-
   val dot_rows :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
   (** [dst.(i) <- dot ~init:zero ~x:a ~xoff:(aoff + i*ld) ~y:x ~yoff:xoff

@@ -191,10 +191,10 @@ let scalar_hoist buf tr ~arr ~local ~expr =
   bpf buf "    let %s = %s.components %s in\n" arr tr.mf expr;
   bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "%s%d = %s.(%d)" local k arr k))
 
-let acc_init buf tr ~from =
-  (match from with
-  | Some arr -> bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref %s.(%d) in" k arr k))
-  | None -> bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref 0.0 in" k)))
+(* a fold's accumulator refs, started from [init]'s components *)
+let acc_init buf tr =
+  bpf buf "    let ic = %s.components init in\n" tr.mf;
+  bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref ic.(%d) in" k k))
 
 let stores buf tr ~plane ~idx (outs : string array) =
   for k = 0 to tr.t - 1 do
@@ -267,8 +267,12 @@ let emit_madd buf tr =
   stores buf tr ~plane:"b" ~idx:"(yoff + i)" q;
   bpf buf "      ()\n    done\n"
 
-(* shared dot loop: p = x*y products, q = acc + p; updates acc refs *)
-let emit_dot_loop buf tr =
+let emit_dot buf tr =
+  bpf buf "  let dot_ml ~init ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
+  bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
+  acc_init buf tr;
+  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"(yoff + i)" ~neg:false;
@@ -281,23 +285,13 @@ let emit_dot_loop buf tr =
       ~args:(Array.append (acc_names tr) p)
   in
   acc_stores buf tr q;
-  bpf buf "      ()\n    done"
-
-let emit_dot buf tr =
-  bpf buf "  let dot_ml ~init ~x ~xoff ~y ~yoff ~len =\n";
-  bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
-  bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
-  emit_dot_loop buf tr;
-  bpf buf ";\n    %s\n" (of_accs tr)
+  bpf buf "      ()\n    done;\n";
+  bpf buf "    %s\n" (of_accs tr)
 
 let emit_sum buf tr =
   bpf buf "  let sum_ml ~init ~x ~xoff ~len =\n";
   bpf buf "    check_range \"Batch.sum\" x ~off:xoff ~len;\n";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
+  acc_init buf tr;
   bpf buf "    %s\n" (hoist tr [ ("a", "x") ]);
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
@@ -308,26 +302,6 @@ let emit_sum buf tr =
   acc_stores buf tr outs;
   bpf buf "      ()\n    done;\n";
   bpf buf "    %s\n" (of_accs tr)
-
-(* the staged subtraction behind a dot accumulator [acc]: b - acc *)
-let emit_residual_tail buf tr ~indent ~acc =
-  bpf buf "%slet bc = %s.components b in\n" indent tr.mf;
-  bpf buf "%slet %s in\n" indent (cat " and " tr.t (fun k -> spf "bb%d = bc.(%d)" k k));
-  let outs =
-    emit_program buf ~indent ~prefix:"r" (Front.sub_kernel tr.t)
-      ~args:(Array.append (names "bb" tr) acc)
-  in
-  bpf buf "%s%s.of_components [| %s |]\n" indent tr.mf (String.concat "; " (Array.to_list outs))
-
-let emit_dot_sub buf tr =
-  bpf buf "  let dot_sub_ml ~b ~x ~xoff ~y ~yoff ~len =\n";
-  bpf buf "    check_range \"Batch.dot_sub\" x ~off:xoff ~len;\n";
-  bpf buf "    check_range \"Batch.dot_sub\" y ~off:yoff ~len;\n";
-  acc_init buf tr ~from:None;
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
-  emit_dot_loop buf tr;
-  bpf buf ";\n";
-  emit_residual_tail buf tr ~indent:"    " ~acc:(acc_names tr)
 
 (* the per-row [dot_ml] loop the lane kernel is held to *)
 let emit_dot_rows buf tr =
@@ -344,8 +318,7 @@ let emit_axpy_dot buf tr =
   bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
   bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
   scalar_hoist buf tr ~arr:"al" ~local:"al" ~expr:"alpha";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
+  acc_init buf tr;
   bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y"); ("w", "w") ]);
   bpf buf "    for i = lo to hi - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
@@ -496,24 +469,6 @@ let emit_wrappers buf tr =
   bpf buf "    let j = sum_c acc x xoff len in\n";
   bpf buf "    if j = len then %s\n" (of_comps tr "acc");
   bpf buf "    else sum_ml ~init:(%s) ~x ~xoff:(xoff + j) ~len:(len - j)\n" (of_comps tr "acc");
-  bpf buf "\n  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =\n";
-  bpf buf "    check_range \"Batch.dot_sub\" x ~off:xoff ~len;\n";
-  bpf buf "    check_range \"Batch.dot_sub\" y ~off:yoff ~len;\n";
-  bpf buf "    let acc = [| %s |] in\n" (cat "; " tr.t (fun _ -> "0.0"));
-  bpf buf "    let j = dot_c acc x xoff y yoff len in\n";
-  bpf buf "    let acc =\n";
-  bpf buf "      if j = len then acc\n";
-  bpf buf "      else\n";
-  bpf buf "        %s\n"
-    (comps tr
-       (spf "(dot_ml ~init:(%s) ~x ~xoff:(xoff + j) ~y ~yoff:(yoff + j) ~len:(len - j))"
-          (of_comps tr "acc")));
-  bpf buf "    in\n";
-  if tr.t = 1 then bpf buf "    b -. acc.(0)\n"
-  else begin
-    bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "acc%d = acc.(%d)" k k));
-    emit_residual_tail buf tr ~indent:"    " ~acc:(names "acc" tr)
-  end;
   bpf buf "\n  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
   bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
   bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
@@ -575,8 +530,6 @@ let emit_tier buf tr =
   emit_dot buf tr;
   bpf buf "\n";
   emit_sum buf tr;
-  bpf buf "\n";
-  emit_dot_sub buf tr;
   bpf buf "\n";
   emit_dot_rows buf tr;
   bpf buf "\n";
@@ -686,7 +639,7 @@ let check_rows name ~a_n ~aoff ~ld ~x_n ~xoff ~len ~dst_n ~lo ~hi =
     [madd] computes [y.(yoff+i) <- add y.(yoff+i) (mul alpha
     x.(xoff+i))], and [dot] folds [acc <- add acc (mul x.(xoff+i)
     y.(yoff+i))] in index order starting from [init].  The fused
-    operations ([sum], [dot_sub], [axpy_dot]) are staged compositions
+    operations ([sum], [axpy_dot]) are staged compositions
     of the same wire programs: one pass over the planes, bitwise equal
     to the unfused op-by-op composition. *)
 module type V = sig
@@ -744,12 +697,6 @@ module type V = sig
   val sum : init:elt -> x:t -> xoff:int -> len:int -> elt
   (** Index-order fold [acc <- add acc x.(xoff+i)]. *)
 
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  (** [sub b (dot ~init:zero ~x ~xoff ~y ~yoff ~len)] with the final
-      subtraction staged behind the dot accumulator: the GEMV-residual
-      row in one pass, no boxed intermediate.  Bitwise the unfused
-      composition. *)
-
   val dot_rows :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
   (** [dst.(i) <- dot ~init:zero ~x:a ~xoff:(aoff + i*ld) ~y:x ~yoff:xoff
@@ -784,7 +731,6 @@ module type TIER = sig
   val madd_ml : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot_ml : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
   val sum_ml : init:elt -> x:t -> xoff:int -> len:int -> elt
-  val dot_sub_ml : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
 
   val dot_rows_ml :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
@@ -897,15 +843,6 @@ module Mf1v = struct
       acc := !acc +. F.unsafe_get x.c0 (xoff + i)
     done;
     !acc
-
-  let dot_sub_ml ~b ~x ~xoff ~y ~yoff ~len =
-    check_range "Batch.dot_sub" x ~off:xoff ~len;
-    check_range "Batch.dot_sub" y ~off:yoff ~len;
-    let acc = ref 0.0 in
-    for i = 0 to len - 1 do
-      acc := !acc +. (F.unsafe_get x.c0 (xoff + i) *. F.unsafe_get y.c0 (yoff + i))
-    done;
-    b -. !acc
 
   let dot_rows_ml ~a ~aoff ~ld ~x ~xoff ~len ~dst ~lo ~hi =
     check_rows "Batch.dot_rows" ~a_n:a.n ~aoff ~ld ~x_n:x.n ~xoff ~len ~dst_n:dst.n ~lo ~hi;
@@ -1049,9 +986,6 @@ module Of_scalar (K : SCALAR) : V with type elt = K.t = struct
       acc := K.add !acc (get x (xoff + i))
     done;
     !acc
-
-  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =
-    K.sub b (dot ~init:K.zero ~x ~xoff ~y ~yoff ~len)
 
   let dot_rows ~a ~aoff ~ld ~x ~xoff ~len ~dst ~lo ~hi =
     check_rows "Batch.dot_rows" ~a_n:a.n ~aoff ~ld ~x_n:x.n ~xoff ~len ~dst_n:dst.n ~lo ~hi;

@@ -93,13 +93,6 @@ let axpy_dot_step t =
     ]
     ~outputs:(Array.to_list (app (outs 1 t) (outs 3 t)))
 
-(* r = b - acc: the residual tail fused behind a dot accumulator
-   (Linalg.Refine_batched's per-row epilogue).  Inputs: b @ acc. *)
-let residual_tail t =
-  compose ~name:(Printf.sprintf "residual_tail[mf%d]" t) ~num_inputs:(2 * t)
-    [ { prog = Front.sub_kernel t; args = app (args 0 t) (args t t) } ]
-    ~outputs:(Array.to_list (outs 0 t))
-
 (* Named chains for [fpan_tool fuse --dump] and the tests. *)
 let chains : (string * (int -> Ir.t)) list =
   [
@@ -111,7 +104,6 @@ let chains : (string * (int -> Ir.t)) list =
     ("dot_step", dot_step);
     ("sum_step", sum_step);
     ("axpy_dot_step", axpy_dot_step);
-    ("residual_tail", residual_tail);
   ]
 
 let chain name t =

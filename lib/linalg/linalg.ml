@@ -258,11 +258,10 @@ end
    solution, right-hand side and residual all live in planar
    (structure-of-arrays) vectors.  The residual is the GEMV leaf
    [V.dot_rows] (several rows folded side by side in vector lanes, each
-   in its own index order) followed by [V.sub] from b, which is the
-   [dot_sub] tail row by row, with no boxed intermediates.  Each row's
-   gate sequence is the scalar residual's, so the returned solution and
-   stats are bitwise identical to [Refine] — only the layout and the
-   allocation profile change. *)
+   in its own index order) followed by [V.sub] from b, with no boxed
+   intermediates.  Each row's gate sequence is the scalar residual's,
+   so the returned solution and stats are bitwise identical to
+   [Refine] — only the layout and the allocation profile change. *)
 module Refine_batched
     (M : Multifloat.Ops.S)
     (V : Multifloat.Batch.V with type elt = M.t) =
@@ -289,25 +288,26 @@ struct
     let tr = Obs.Trace.enabled () in
     if tr then Obs.Trace.begin_span Obs.Trace.Eft "refine.solve";
     let lu = R.factor_double n a in
-    let am = V.of_array (Array.map M.of_float a) in
+    (* [of_floats] lifts each double straight into the planes, as
+       [M.of_float] would, without boxing an element per entry *)
+    let am = V.of_floats a in
     let bv = V.of_array b in
     (* Solution buffers likewise: a correction goes into [xtry], which
        becomes [xbest] only if its residual is smaller, so a stall
        returns the iterate [best] belongs to. *)
-    let xbest = ref (V.of_array (Array.map M.of_float (R.solve_double n lu (Array.map M.to_float b))))
+    let xbest = ref (V.of_floats (R.solve_double n lu (Array.map M.to_float b)))
     and xtry = ref (V.create n) in
     (* Two residual buffers: the best-so-far residual feeds the next
        correction solve, so a candidate must not clobber it.  With a
-       scheduler the residual runs row-parallel on the runtime engine,
-       over the same [dot_rows] rows, so the refinement trajectory stays
+       scheduler the GEMV runs row-parallel on the runtime engine, over
+       the same [dot_rows] rows, so the refinement trajectory stays
        bitwise identical to the sequential path at any worker count. *)
     let rbest = ref (V.create n) and rtry = ref (V.create n) in
     let resid_norm xv dst =
       (match rt with
-      | Some rt -> E.gemv_residual rt ~m:n ~n ~a:am ~x:xv ~b:bv ~r:dst ()
-      | None ->
-          V.dot_rows ~a:am ~aoff:0 ~ld:n ~x:xv ~xoff:0 ~len:n ~dst ~lo:0 ~hi:n;
-          V.sub ~dst bv dst);
+      | Some rt -> E.gemv rt ~m:n ~n ~a:am ~x:xv ~y:dst ()
+      | None -> V.dot_rows ~a:am ~aoff:0 ~ld:n ~x:xv ~xoff:0 ~len:n ~dst ~lo:0 ~hi:n);
+      V.sub ~dst bv dst;
       norm_inf_v dst
     in
     let best = ref (resid_norm !xbest !rbest) in

@@ -101,14 +101,6 @@ module type V = sig
   (** Index-order fold [acc <- add acc x.(xoff+i)] starting from
       [init]: the scalar SUM accumulation order. *)
 
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  (** [sub b (dot ~init:zero ~x ~xoff ~y ~yoff ~len)] with the final
-      subtraction staged behind the dot accumulator: one fused pass
-      over the planes computing a GEMV-residual row with no boxed
-      intermediate.  Bitwise equal to the unfused composition (the
-      scalar [sub] is the add network on negated components, which is
-      exactly the staged tail). *)
-
   val dot_rows :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
   (** [dst.(i) <- dot ~init:zero ~x:a ~xoff:(aoff + i*ld) ~y:x ~yoff:xoff
@@ -154,7 +146,6 @@ module type TIER = sig
   val madd_ml : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot_ml : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
   val sum_ml : init:elt -> x:t -> xoff:int -> len:int -> elt
-  val dot_sub_ml : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
 
   val dot_rows_ml :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit

@@ -422,7 +422,7 @@ let bench_serve =
       Req ("batching_speedup", num_or_null);
       Opt ("adaptive", serve_adaptive_block) ]
 
-(* --- BENCH_fuse.json (fpan-bench-fuse/2) ---------------------------- *)
+(* --- BENCH_fuse.json (fpan-bench-fuse/3) ---------------------------- *)
 
 (* Cross-op fusion ablation: each cell times one fused wire-program
    kernel against its op-by-op composition ("ablation-fusion") and
@@ -442,25 +442,12 @@ let fuse_cell =
       Req ("speedup", Num);
       Req ("bitwise_equal", Bool) ]
 
-let fuse_refine =
-  Obj
-    [ Req ("bits", Int);
-      Req ("n", Int);
-      Req ("iterations", Int);
-      Req ("fused_iter_s", Num);
-      Req ("fused_spread", spread);
-      Req ("unfused_iter_s", Num);
-      Req ("unfused_spread", spread);
-      Req ("speedup", Num);
-      Req ("bitwise_equal", Bool) ]
-
 let bench_fuse =
   Obj
-    [ Req ("schema", Str_const "fpan-bench-fuse/2");
+    [ Req ("schema", Str_const "fpan-bench-fuse/3");
+      Req ("env", env_block);
       Req ("mode", Str_const "ablation-fusion");
-      Req ("workers", Int);
-      Req ("cells", List fuse_cell);
-      Opt ("refine", fuse_refine) ]
+      Req ("cells", List fuse_cell) ]
 
 (* --- BENCH_codec.json (fpan-bench-codec/1) --------------------------- *)
 

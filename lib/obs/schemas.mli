@@ -40,7 +40,7 @@ val bench_serve : Schema.t
 
 val bench_fuse : Schema.t
 (** [BENCH_fuse.json], the cross-op fusion ablation, schema id
-    [fpan-bench-fuse/2]. *)
+    [fpan-bench-fuse/3]. *)
 
 val bench_codec : Schema.t
 (** [BENCH_codec.json], the wire-codec rung of the bench harness

@@ -14,7 +14,7 @@
    The tile bounds the working set: a k x tile_n panel of B plus a
    tile_m x tile_n piece of C stay cache-resident while A streams.
 
-   DOT and SUMSQ use the scheduler's fixed-shape reduction tree; their
+   DOT uses the scheduler's fixed-shape reduction tree; its
    grouping differs from a plain sequential fold (floating-point
    addition is not associative) but depends only on the length and the
    grain, so it too is reproducible across worker counts.
@@ -36,17 +36,13 @@ module type VEC = sig
 
   val lanes : int
   val length : t -> int
-  val create : int -> t
   val get : t -> int -> elt
-  val sub : dst:t -> t -> t -> unit
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   val madd : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
 
   val dot_rows :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
-
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 type cfg = { tile_m : int; tile_n : int; grain : int }
@@ -65,35 +61,12 @@ module Make (E : ELT) (V : VEC with type elt = E.t) = struct
         V.dot ~init:E.zero ~x ~xoff:lo ~y ~yoff:lo ~len:(hi - lo))
       E.add
 
-  let sumsq rt ?(cfg = default_cfg) x =
-    let n = V.length x in
-    Sched.parallel_reduce rt ~grain:(max 1 cfg.grain) ~lo:0 ~hi:n
-      ~leaf:(fun lo hi ->
-        Sched.add_flops rt (hi - lo);
-        V.dot ~init:E.zero ~x ~xoff:lo ~y:x ~yoff:lo ~len:(hi - lo))
-      E.add
-
   let axpy rt ?(cfg = default_cfg) ~alpha ~x ~y () =
     let n = V.length x in
     check_len "Engine.axpy" y n;
     Sched.parallel_for rt ~grain:(max 1 cfg.grain) ~lo:0 ~hi:n (fun lo hi ->
         Sched.add_flops rt (hi - lo);
         V.axpy ~lo ~hi ~alpha ~x ~y)
-
-  (* Fused axpy + dot: each leaf updates its disjoint y range in place
-     and folds the freshly-updated y against w, so one pass over the
-     planes replaces two.  The reduction tree is the same fixed shape
-     as [dot]'s, hence bitwise equal to [axpy] followed by [dot y w] at
-     any worker count. *)
-  let axpy_dot rt ?(cfg = default_cfg) ~alpha ~x ~y ~w () =
-    let n = V.length x in
-    check_len "Engine.axpy_dot: y" y n;
-    check_len "Engine.axpy_dot: w" w n;
-    Sched.parallel_reduce rt ~grain:(max 1 cfg.grain) ~lo:0 ~hi:n
-      ~leaf:(fun lo hi ->
-        Sched.add_flops rt (2 * (hi - lo));
-        V.axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init:E.zero)
-      E.add
 
   (* The GEMV leaves: whole groups of [V.lanes] rows, each leaf about
      [grain] multiply-accumulates, folded by one [V.dot_rows] call. *)
@@ -110,21 +83,6 @@ module Make (E : ELT) (V : VEC with type elt = E.t) = struct
     row_groups rt cfg ~m ~n (fun lo hi ->
         Sched.add_flops rt ((hi - lo) * n);
         V.dot_rows ~a ~aoff:0 ~ld:n ~x ~xoff:0 ~len:n ~dst:y ~lo ~hi)
-
-  (* r <- b - A x: the [gemv] leaves fold the rows into [r] (a scratch
-     vector when [r] is [b]), then [V.sub] takes each from its [b]
-     entry, which is [dot_sub]'s tail row by row.  Bitwise [dot_sub]
-     per row at any worker count. *)
-  let gemv_residual rt ?(cfg = default_cfg) ~m ~n ~a ~x ~b ~r () =
-    check_len "Engine.gemv_residual: a" a (m * n);
-    check_len "Engine.gemv_residual: x" x n;
-    check_len "Engine.gemv_residual: b" b m;
-    check_len "Engine.gemv_residual: r" r m;
-    let acc = if r == b then V.create m else r in
-    row_groups rt cfg ~m ~n (fun lo hi ->
-        Sched.add_flops rt ((hi - lo) * (n + 1));
-        V.dot_rows ~a ~aoff:0 ~ld:n ~x ~xoff:0 ~len:n ~dst:acc ~lo ~hi);
-    V.sub ~dst:r b acc
 
   (* C <- C + A B with A m*k, B k*n, C m*n (all row-major planar). *)
   let gemm rt ?(cfg = default_cfg) ~m ~n ~k ~a ~b ~c () =

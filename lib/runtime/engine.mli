@@ -1,11 +1,11 @@
-(** Cache-blocked dense kernels (DOT, SUMSQ, AXPY, GEMV, GEMM) over
+(** Cache-blocked dense kernels (DOT, AXPY, GEMV, GEMM) over
     planar vectors, decomposed into stealable tasks on {!Sched}.
 
     The GEMM tiles C over i/j only (never over k); each tile runs the
     ikj rank-1 [madd] update restricted to its j-range, folding p in
     index order — the sequential batched kernel's exact accumulation
     order — so tiled results are bitwise identical to the sequential
-    path at any tile size and worker count.  DOT/SUMSQ use the
+    path at any tile size and worker count.  DOT uses the
     scheduler's fixed-shape reduction tree (deterministic, but grouped
     differently from a plain sequential fold). *)
 
@@ -25,17 +25,13 @@ module type VEC = sig
 
   val lanes : int
   val length : t -> int
-  val create : int -> t
   val get : t -> int -> elt
-  val sub : dst:t -> t -> t -> unit
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   val madd : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
 
   val dot_rows :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
-
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 type cfg = {
@@ -50,38 +46,21 @@ val default_cfg : cfg
     stay cache-resident, and each [madd] row update is long enough to
     amortize its call into the C kernels (see DESIGN.md §7 and the
     EXPERIMENTS.md tile sweep).  Changing the tile size or grain never changes GEMM/GEMV
-    results (only the DOT/SUMSQ reduction-tree shape depends on
+    results (only the DOT reduction-tree shape depends on
     [grain]). *)
 
 module Make (E : ELT) (V : VEC with type elt = E.t) : sig
   val dot : Sched.t -> ?cfg:cfg -> V.t -> V.t -> E.t
   (** Tree-reduced dot product (deterministic for fixed length/grain). *)
 
-  val sumsq : Sched.t -> ?cfg:cfg -> V.t -> E.t
-  (** Tree-reduced [dot x x] — the NRM2 building block. *)
-
   val axpy : Sched.t -> ?cfg:cfg -> alpha:E.t -> x:V.t -> y:V.t -> unit -> unit
   (** [y <- alpha x + y], range-partitioned (elementwise, so bitwise
       equal to the sequential kernel). *)
-
-  val axpy_dot :
-    Sched.t -> ?cfg:cfg -> alpha:E.t -> x:V.t -> y:V.t -> w:V.t -> unit -> E.t
-  (** Fused [y <- alpha x + y] and [dot y w] in one pass over the
-      planes, using the same fixed-shape reduction tree as {!dot}:
-      bitwise equal to [axpy] followed by [dot y w] at any worker
-      count (the leaves update disjoint [y] ranges). *)
 
   val gemv : Sched.t -> ?cfg:cfg -> m:int -> n:int -> a:V.t -> x:V.t -> y:V.t -> unit -> unit
   (** [y <- A x], partitioned into whole groups of [V.lanes] rows, each
       leaf one {!VEC.dot_rows} call; every row is bitwise its
       sequential planar dot at any worker count. *)
-
-  val gemv_residual :
-    Sched.t -> ?cfg:cfg -> m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit -> unit
-  (** [r <- b - A x]: the {!gemv} leaves fold the rows, then
-      {!VEC.sub} takes each from its [b] entry (the [dot_sub] tail row
-      by row); bitwise [dot_sub] per row at any worker count.  [r] may
-      be [b]. *)
 
   val gemm :
     Sched.t -> ?cfg:cfg -> m:int -> n:int -> k:int -> a:V.t -> b:V.t -> c:V.t -> unit -> unit

@@ -134,7 +134,6 @@ let chain_slots =
     ("dot_step", (3, 1));
     ("sum_step", (2, 0));
     ("axpy_dot_step", (5, 0));
-    ("residual_tail", (2, 0));
   ]
 
 let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
@@ -166,7 +165,7 @@ let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
 let degree = function
   | Add_network -> 1
   | Mul_network -> 2
-  | Chain ("add" | "sub" | "sum_step" | "residual_tail") -> 1
+  | Chain ("add" | "sub" | "sum_step") -> 1
   | Chain ("mul" | "dot_step" | "axpy" | "madd") -> 2
   | Chain _ -> 3
 
@@ -254,7 +253,7 @@ let scalar_reference spec ~round : float array -> float array =
       let neg a = Array.map Float.neg a in
       match name with
       | "add" | "sum_step" -> fun buf -> radd (sub buf 0) (sub buf t)
-      | "sub" | "residual_tail" -> fun buf -> radd (sub buf 0) (neg (sub buf t))
+      | "sub" -> fun buf -> radd (sub buf 0) (neg (sub buf t))
       | "mul" -> fun buf -> rmul (sub buf 0) (sub buf t)
       | "dot_step" -> fun buf -> radd (sub buf 0) (rmul (sub buf t) (sub buf (2 * t)))
       | "axpy" -> fun buf -> radd (rmul (sub buf 0) (sub buf t)) (sub buf (2 * t))

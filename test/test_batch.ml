@@ -256,14 +256,10 @@ module CheckB (N : INSTANCE) = struct
         Array.for_all (fun b -> b) (Array.mapi (fun i v -> eq_t v (V.get y2 i)) y1))
 
   (* --- cross-op fusion: the fused single-pass kernels (sum, dot,
-     dot_sub, axpy_dot, gemv_residual) are bitwise their op-by-op
-     compositions -- the spellings that materialize every intermediate
-     plane -- over the Section 4.4 corpus classes (subnormal,
-     near-overflow, cancellation, ulp ties, zeros, specials), lengths
-     {0, 1, 7, 1024}, and on the work-stealing engine at 1 and 4
-     workers. --- *)
-
-  module Eng = Runtime.Engine.Make (N) (V)
+     axpy_dot) are bitwise their op-by-op compositions -- the spellings
+     that materialize every intermediate plane -- over the Section 4.4
+     corpus classes (subnormal, near-overflow, cancellation, ulp ties,
+     zeros, specials) and lengths {0, 1, 7, 1024}. --- *)
 
   (* the corpus speaks multi-term expansions only; the single-plane
      double tier falls back to the adversarial element mix *)
@@ -287,7 +283,6 @@ module CheckB (N : INSTANCE) = struct
         let xs, ys = corpus_elts len (7 * len) in
         let ws, _ = corpus_elts len ((11 * len) + 3) in
         let alpha = if len = 0 then N.of_float 1.5 else ys.(0) in
-        let b0 = if len = 0 then N.of_float 0.75 else xs.(0) in
         let xv = V.of_array xs and yv = V.of_array ys and wv = V.of_array ws in
         (* sum is the scalar add fold in index order *)
         check_elt "sum" len
@@ -299,45 +294,13 @@ module CheckB (N : INSTANCE) = struct
         let d_unfused = V.sum ~init:N.zero ~x:tmp ~xoff:0 ~len in
         let d_fused = V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:yv ~yoff:0 ~len in
         check_elt "dot" len d_unfused d_fused;
-        (* dot_sub = the subtract after the dot fold *)
-        check_elt "dot_sub" len (N.sub b0 d_fused)
-          (V.dot_sub ~b:b0 ~x:xv ~xoff:0 ~y:yv ~yoff:0 ~len);
         (* axpy_dot = axpy pass, then dot re-reading the updated plane *)
         let y1 = V.of_array ys and y2 = V.of_array ys in
         let acc_f = V.axpy_dot ~lo:0 ~hi:len ~alpha ~x:xv ~y:y1 ~w:wv ~init:N.zero in
         V.axpy ~lo:0 ~hi:len ~alpha ~x:xv ~y:y2;
         let acc_u = V.dot ~init:N.zero ~x:y2 ~xoff:0 ~y:wv ~yoff:0 ~len in
         check_elt "axpy_dot acc" len acc_u acc_f;
-        check_vec (Printf.sprintf "axpy_dot y (len %d)" len) (V.to_array y2) y1;
-        (* gemv_residual = gemv into a temporary vector, then subtract *)
-        let m = 3 in
-        let amat, _ = corpus_elts (m * len) ((13 * len) + 1) in
-        let bvec, _ = corpus_elts m ((17 * len) + 5) in
-        let av = V.of_array amat and bv = V.of_array bvec in
-        let r_f = V.create m and yt = V.create m and r_u = V.create m in
-        Kb.gemv_residual ~m ~n:len ~a:av ~x:xv ~b:bv ~r:r_f;
-        Kb.gemv ~m ~n:len ~a:av ~x:xv ~y:yt;
-        V.sub ~dst:r_u bv yt;
-        check_vec (Printf.sprintf "gemv_residual (len %d)" len) (V.to_array r_u) r_f;
-        (* the engine's fused paths reproduce their own two-pass
-           compositions at 1 and 4 workers *)
-        List.iter
-          (fun workers ->
-            Runtime.Sched.with_sched ~workers (fun rt ->
-                let y3 = V.of_array ys and y4 = V.of_array ys in
-                let af = Eng.axpy_dot rt ~alpha ~x:xv ~y:y3 ~w:wv () in
-                Eng.axpy rt ~alpha ~x:xv ~y:y4 ();
-                let au = Eng.dot rt y4 wv in
-                check_elt (Printf.sprintf "engine axpy_dot (%d workers)" workers) len au af;
-                check_vec
-                  (Printf.sprintf "engine axpy_dot y (%d workers, len %d)" workers len)
-                  (V.to_array y4) y3;
-                let r_rt = V.create m in
-                Eng.gemv_residual rt ~m ~n:len ~a:av ~x:xv ~b:bv ~r:r_rt ();
-                check_vec
-                  (Printf.sprintf "engine gemv_residual (%d workers, len %d)" workers len)
-                  (V.to_array r_f) r_rt))
-          [ 1; 4 ])
+        check_vec (Printf.sprintf "axpy_dot y (len %d)" len) (V.to_array y2) y1)
       [ 0; 1; 7; 1024 ]
 
   (* --- the IR interpreter is an executable oracle: iterating the
@@ -362,11 +325,13 @@ module CheckB (N : INSTANCE) = struct
       done;
       let v = V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len in
       if not (eq_t !acc v) then Alcotest.failf "%s IR dot oracle differs" N.name;
-      let rtail = Fpan_ir.Fuse.chain "residual_tail" t in
+      (* the residual's subtraction b - dot, as [V.sub] runs it *)
+      let sub = Fpan_ir.Fuse.chain "sub" t in
       let b0 = ys.(0) in
-      let r = N.of_components (Fpan_ir.Interp.run rtail (Array.append (comps b0) (comps v))) in
-      let v2 = V.dot_sub ~b:b0 ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len in
-      if not (eq_t r v2) then Alcotest.failf "%s IR residual_tail oracle differs" N.name;
+      let r = N.of_components (Fpan_ir.Interp.run sub (Array.append (comps b0) (comps v))) in
+      let rv = V.create 1 in
+      V.sub ~dst:rv (V.of_array [| b0 |]) (V.of_array [| v |]);
+      if not (eq_t r (V.get rv 0)) then Alcotest.failf "%s IR sub oracle differs" N.name;
       let step = Fpan_ir.Fuse.chain "axpy_dot_step" t in
       let alpha = ws.(0) in
       let y = Array.copy ys in
@@ -401,11 +366,15 @@ module CheckB (N : INSTANCE) = struct
         let acc_f = V.axpy_dot ~lo:0 ~hi:n ~alpha ~x:xv ~y:y1 ~w:wv ~init:N.zero in
         V.axpy ~lo:0 ~hi:n ~alpha ~x:xv ~y:y2;
         let acc_u = V.dot ~init:N.zero ~x:y2 ~xoff:0 ~y:wv ~yoff:0 ~len:n in
-        let ds = V.dot_sub ~b ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len:n in
+        (* the residual row b - dot, spelled as the solvers run it: the
+           dot_rows fold, then [V.sub] *)
+        let d = V.create 1 and r = V.create 1 in
+        V.dot_rows ~a:xv ~aoff:0 ~ld:n ~x:(V.of_array ys) ~xoff:0 ~len:n ~dst:d ~lo:0 ~hi:1;
+        V.sub ~dst:r (V.of_array [| b |]) d;
         let du =
           N.sub b (V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len:n)
         in
-        eq_t acc_f acc_u && eq_t ds du
+        eq_t acc_f acc_u && eq_t (V.get r 0) du
         && Array.for_all (fun ok -> ok)
              (Array.mapi (fun i v -> eq_t v (V.get y1 i)) (V.to_array y2)))
 
@@ -544,7 +513,7 @@ struct
     !acc
 
   let sequential ~what ~n xs ys ws =
-    let alpha = elt () and init = elt () and b = elt () in
+    let alpha = elt () and init = elt () in
     (* elementwise: C vs [_ml] vs scalar *)
     let xv = T.of_array xs and yv = T.of_array ys in
     List.iter
@@ -584,9 +553,6 @@ struct
     let s = T.sum ~init ~x ~xoff ~len:n in
     check_elt (what ^ " sum C vs ml") (T.sum_ml ~init ~x ~xoff ~len:n) s;
     check_scalar (what ^ " sum C vs scalar") (Array.fold_left S.add init xs) s;
-    let r = T.dot_sub ~b ~x ~xoff ~y ~yoff ~len:n in
-    check_elt (what ^ " dot_sub C vs ml") (T.dot_sub_ml ~b ~x ~xoff ~y ~yoff ~len:n) r;
-    check_scalar (what ^ " dot_sub C vs scalar") (S.sub b (fold_dot S.zero xs ys)) r;
     let x = placed xs xoff and y1 = placed ys xoff and y2 = placed ys xoff
     and w = placed ws xoff in
     let a1 = T.axpy_dot ~lo:xoff ~hi:(xoff + n) ~alpha ~x ~y:y1 ~w ~init in
@@ -685,10 +651,8 @@ struct
 
     let axpy = axpy_ml
     let madd = madd_ml
-    let sub = sub_ml
     let dot = dot_ml
     let dot_rows = dot_rows_ml
-    let axpy_dot = axpy_dot_ml
   end
 
   module Ec = Runtime.Engine.Make (E) (T)
@@ -696,11 +660,10 @@ struct
 
   (* the engine's kernels on the C loops at 1 and 4 workers vs the
      OCaml loops on 1 worker *)
-  let engine ~what ~n xs ys ws =
+  let engine ~what ~n xs ys =
     let alpha = elt () in
     let m = 3 in
     let am = Array.init (m * n) (fun i -> if i < n then xs.(i) else elt ()) in
-    let bv = T.of_array (Array.init m (fun _ -> elt ())) in
     (* an m x gk times gk x gk GEMM whose operands start with xs / ys,
        in tiles small enough to spread over the workers *)
     let gk = min n 40 in
@@ -712,17 +675,13 @@ struct
           let y = T.of_array ys in
           Em.axpy rt ~alpha ~x:(T.of_array xs) ~y ();
           let d = Em.dot rt (T.of_array xs) (T.of_array ys) in
-          let y2 = T.of_array ys in
-          let ad = Em.axpy_dot rt ~alpha ~x:(T.of_array xs) ~y:y2 ~w:(T.of_array ws) () in
           let gv = T.create m in
           Em.gemv rt ~m ~n ~a:(T.of_array am) ~x:(T.of_array ys) ~y:gv ();
-          let rv = T.create m in
-          Em.gemv_residual rt ~m ~n ~a:(T.of_array am) ~x:(T.of_array ys) ~b:bv ~r:rv ();
           let c = T.create (m * gk) in
           Em.gemm rt ~cfg ~m ~n:gk ~k:gk ~a:ga ~b:gb ~c ();
-          (y, d, y2, ad, gv, rv, c))
+          (y, d, gv, c))
     in
-    let y0, d0, y20, ad0, gv0, rv0, c0 = reference in
+    let y0, d0, gv0, c0 = reference in
     List.iter
       (fun workers ->
         Runtime.Sched.with_sched ~workers (fun rt ->
@@ -731,16 +690,9 @@ struct
             Ec.axpy rt ~alpha ~x:(T.of_array xs) ~y ();
             check_vecs (what ^ " axpy") y0 y;
             check_elt (what ^ " dot") d0 (Ec.dot rt (T.of_array xs) (T.of_array ys));
-            let y2 = T.of_array ys in
-            let ad = Ec.axpy_dot rt ~alpha ~x:(T.of_array xs) ~y:y2 ~w:(T.of_array ws) () in
-            check_elt (what ^ " axpy_dot acc") ad0 ad;
-            check_vecs (what ^ " axpy_dot y") y20 y2;
             let gv = T.create m in
             Ec.gemv rt ~m ~n ~a:(T.of_array am) ~x:(T.of_array ys) ~y:gv ();
             check_vecs (what ^ " gemv") gv0 gv;
-            let rv = T.create m in
-            Ec.gemv_residual rt ~m ~n ~a:(T.of_array am) ~x:(T.of_array ys) ~b:bv ~r:rv ();
-            check_vecs (what ^ " gemv_residual") rv0 rv;
             let c = T.create (m * gk) in
             Ec.gemm rt ~cfg ~m ~n:gk ~k:gk ~a:ga ~b:gb ~c ();
             check_vecs (what ^ " gemm") c0 c))
@@ -772,8 +724,8 @@ struct
       (fun n ->
         List.iter
           (fun poison ->
-            let xs, ys, ws = operands ~n ~at:[ 0; 63; 64; n - 1 ] poison in
-            engine ~what:(Printf.sprintf "%s n=%d" (poison_name poison) n) ~n xs ys ws)
+            let xs, ys, _ = operands ~n ~at:[ 0; 63; 64; n - 1 ] poison in
+            engine ~what:(Printf.sprintf "%s n=%d" (poison_name poison) n) ~n xs ys)
           poisons)
       [ 1; 65; 1024 ]
 

@@ -714,12 +714,15 @@ let test_sla_end_to_end () =
 
 (* --- admission bound and explicit sheds ------------------------------ *)
 
-let poison_req ~id ~degree =
-  (* one long-running mf4 poly-eval holds the batcher busy *)
-  let coeff i = [| 1.0 +. float_of_int i; 1e-17; 1e-34; 1e-51 |] in
-  mk_req ~id ~op:P.Poly_eval ~tier:P.Mf4
-    ~x:(Array.init degree coeff)
-    ~y:[| [| 0.9999999; 1e-18; 1e-35; 1e-52 |] |]
+let poison_req ~id ~len =
+  (* an mf4 axpy whose [len]-element answer (about 1 MB at len 10_000)
+     outgrows the socket buffer: the batcher blocks writing it to a
+     client that reads nothing until after the flood, so the poisons
+     behind it fill the queue *)
+  let elt i = [| 1.0 +. float_of_int i; 1e-17; 1e-34; 1e-51 |] in
+  mk_req ~id ~op:P.Axpy ~tier:P.Mf4
+    ~x:(Array.init len elt)
+    ~y:(Array.init (len + 1) elt)
     ()
 
 let test_admission_bound () =
@@ -735,11 +738,18 @@ let test_admission_bound () =
           (* fill the batcher (1 executing) and the whole queue (cap) *)
           let n_poison = cap + 1 in
           let poisons =
-            List.init n_poison (fun i -> poison_req ~id:(i + 1) ~degree:20_000)
+            List.init n_poison (fun i -> poison_req ~id:(i + 1) ~len:10_000)
           in
           List.iter (Serve.Client.send slow) poisons;
-          (* give the io loop time to ingest the poisons *)
-          Unix.sleepf 0.05;
+          (* wait, on the server's own stats, until the io loop has
+             ingested the poisons and the queue is full; the deadline
+             stays under the server's 5 s limit on a stalled write *)
+          let deadline = Unix.gettimeofday () +. 4.0 in
+          while stats_int (Serve.Server.stats_doc srv) "queue_depth" < cap do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "the poisons never filled the queue";
+            Unix.sleepf 0.001
+          done;
           let n_flood = 40 in
           let floods =
             List.init n_flood (fun i ->

@@ -98,7 +98,7 @@ let test_chain_sweeps_pass () =
       Alcotest.(check int)
         (name ^ " equivalence on every tuple")
         r.Sweep.tuples r.Sweep.counts.Sweep.checked.(eq))
-    [ ("sum_step", 2, 3); ("dot_step", 2, 3); ("residual_tail", 2, 3) ]
+    [ ("sum_step", 2, 3); ("dot_step", 2, 3); ("sub", 2, 3) ]
 
 (* Direct Fpan_ir.Interp.run_rounded vs Fpan.Interp.run_rounded: the
    Front-derived kernel program and the mutable-wire network interpreter
@@ -115,7 +115,7 @@ let test_ir_interp_bitwise_equivalence () =
   let space = Space.make ~name:"ir-equiv" ~width slots in
   let buf = Array.make (Space.num_inputs space) 0.0 in
   let prog_sum = Fpan_ir.Fuse.chain "sum_step" t in
-  let prog_res = Fpan_ir.Fuse.chain "residual_tail" t in
+  let prog_sub = Fpan_ir.Fuse.chain "sub" t in
   let interleave x y = Array.init (2 * t) (fun k -> if k mod 2 = 0 then x.(k / 2) else y.(k / 2)) in
   let bits = Array.map Int64.bits_of_float in
   for idx = 0 to space.Space.total - 1 do
@@ -127,12 +127,12 @@ let test_ir_interp_bitwise_equivalence () =
     if bits ir <> bits net then
       Alcotest.failf "sum_step mismatch at tuple %d: ir %h %h net %h %h" idx ir.(0) ir.(1) net.(0)
         net.(1);
-    (* residual_tail(b, acc) = add2 on (b, -acc) *)
-    let ir = Fpan_ir.Interp.run_rounded ~round prog_res buf in
+    (* sub(b, acc) = add2 on (b, -acc) *)
+    let ir = Fpan_ir.Interp.run_rounded ~round prog_sub buf in
     let net =
       Fpan.Interp.run_rounded ~round Fpan.Networks.add2 (interleave x (Array.map Float.neg y))
     in
-    if bits ir <> bits net then Alcotest.failf "residual_tail mismatch at tuple %d" idx
+    if bits ir <> bits net then Alcotest.failf "sub mismatch at tuple %d" idx
   done
 
 (* run_rounded with the identity rounding is exactly the plain
