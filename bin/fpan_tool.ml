@@ -465,7 +465,6 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   in
   Obs.Schema.check ~name:out Obs.Schemas.bench_sched json;
   J.write_file out json;
-  Printf.printf "  scaling curve written to %s\n" out;
   if !mismatches > 0 then begin
     Printf.eprintf "bench-sched: %d bitwise mismatch(es) -- determinism violated\n" !mismatches;
     exit 1
@@ -1409,8 +1408,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
          match speedup with Some s -> J.Num s | None -> J.Null) ]
   in
   Obs.Schema.check ~name:out Obs.Schemas.bench_serve json;
-  J.write_file out json;
-  Printf.printf "  written to %s\n" out
+  J.write_file out json
 
 let loadgen_cmd =
   let doc =
@@ -1840,10 +1838,9 @@ let chaos_run seed shards requests scenarios_csv out =
   in
   Obs.Schema.check ~name:out Obs.Schemas.chaos_report json;
   J.write_file out json;
-  Printf.printf "  invariants: deaths %d, mismatches %d, fd leak %d -> %s\n"
+  Printf.printf "  invariants: deaths %d, mismatches %d, fd leak %d -> %s\n%!"
     deaths mismatches fd_leak
     (if passed then "PASS" else "FAIL");
-  Printf.printf "  written to %s\n%!" out;
   if not passed then exit 1
 
 let chaos_cmd =
@@ -2125,9 +2122,6 @@ struct
       (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
       (M.components a) (M.components b)
 
-  let vec_eq a b =
-    Vb.length a = Vb.length b && Array.for_all2 scalar_eq (Vb.to_array a) (Vb.to_array b)
-
   let run ~n ~reps ~out =
     let module J = Obs.Json_out in
     let rng = Random.State.make [| 0xf05e; n; Vb.terms |] in
@@ -2175,36 +2169,15 @@ struct
       cell ~kernel:"dot" ~unfused:"mul+sum" ~len:n ~t_f ~t_u
         ~bitwise:(scalar_eq r_f r_u)
     in
-    (* AXPY;DOT: the fused single-pass update-and-fold vs AXPY followed
-       by DOT re-reading the updated plane set. *)
-    let axpy_dot_cell =
-      let alpha = Vb.get (rand_vec 1) 0 in
-      let x = rand_vec n and y0 = rand_vec n and w = rand_vec n in
-      let t_f, (acc_f, y_f) =
-        time (fun () ->
-            let y = Vb.copy y0 in
-            let acc = Vb.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:M.zero in
-            (acc, y))
-      in
-      let t_u, (acc_u, y_u) =
-        time (fun () ->
-            let y = Vb.copy y0 in
-            Vb.axpy ~lo:0 ~hi:n ~alpha ~x ~y;
-            (Vb.dot ~init:M.zero ~x:y ~xoff:0 ~y:w ~yoff:0 ~len:n, y))
-      in
-      cell ~kernel:"axpy_dot" ~unfused:"axpy+dot" ~len:n ~t_f ~t_u
-        ~bitwise:(scalar_eq acc_f acc_u && vec_eq y_f y_u)
-    in
     let json =
       J.Obj
         [ ("schema", J.Str "fpan-bench-fuse/3");
           ("env", Obs.Env.json ~isa:(Multifloat.Batch.isa ()) ~cc:(Multifloat.Batch.cc ()));
           ("mode", J.Str "ablation-fusion");
-          ("cells", J.List [ dot_cell; axpy_dot_cell ]) ]
+          ("cells", J.List [ dot_cell ]) ]
     in
     Obs.Schema.check ~name:out Obs.Schemas.bench_fuse json;
     J.write_file out json;
-    Printf.printf "  written to %s\n" out;
     if !mismatches > 0 then begin
       Printf.eprintf "fuse: %d bitwise mismatch(es) -- fusion changed results\n" !mismatches;
       exit 1
@@ -2243,8 +2216,8 @@ let fuse_run dump terms n reps out =
 let fuse_cmd =
   let doc =
     "Cross-op fusion ablation over the FPAN wire-program IR: --dump prints the fused wire \
-     programs the planar kernels are generated from; otherwise times the fused kernels (dot \
-     and axpy_dot) against their op-by-op compositions, demands bitwise equality, and writes \
+     programs the planar kernels are generated from; otherwise times the fused dot kernel \
+     against its op-by-op composition, demands bitwise equality, and writes \
      BENCH_fuse.json."
   in
   let dump_arg =

@@ -312,48 +312,6 @@ let emit_dot_rows buf tr =
     tr.mf;
   bpf buf "    done\n"
 
-let emit_axpy_dot buf tr =
-  bpf buf "  let axpy_dot_ml ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
-  bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
-  scalar_hoist buf tr ~arr:"al" ~local:"al" ~expr:"alpha";
-  acc_init buf tr;
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y"); ("w", "w") ]);
-  bpf buf "    for i = lo to hi - 1 do\n";
-  loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
-  loads buf tr ~local:"y" ~plane:"b" ~idx:"i" ~neg:false;
-  loads buf tr ~local:"z" ~plane:"w" ~idx:"i" ~neg:false;
-  let p =
-    emit_program buf ~indent:"      " ~prefix:"p" (Front.mul_kernel tr.t)
-      ~args:(Array.append (names "al" tr) (names "x" tr))
-  in
-  let q =
-    emit_program buf ~indent:"      " ~prefix:"q" (Front.add_kernel tr.t)
-      ~args:(Array.append p (names "y" tr))
-  in
-  let r =
-    emit_program buf ~indent:"      " ~prefix:"r" (Front.mul_kernel tr.t)
-      ~args:(Array.append q (names "z" tr))
-  in
-  let s =
-    emit_program buf ~indent:"      " ~prefix:"s" (Front.add_kernel tr.t)
-      ~args:(Array.append (acc_names tr) r)
-  in
-  stores buf tr ~plane:"b" ~idx:"i" q;
-  acc_stores buf tr s;
-  bpf buf "      ()\n    done;\n";
-  bpf buf "    %s\n" (of_accs tr)
-
-let emit_transpose buf tr =
-  bpf buf "  let transpose ~m ~n ~src ~dst =\n";
-  bpf buf
-    "    check_transpose \"Batch.transpose\" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst)";
-  for k = 0 to tr.t - 1 do
-    bpf buf ";\n    transpose_plane ~m ~n src.c%d dst.c%d" k k
-  done;
-  bpf buf "\n"
-
 (* --- the C kernels' OCaml side --------------------------------------- *)
 
 (* Every C loop of a tier: its name, its OCaml type and its value
@@ -372,10 +330,7 @@ let c_ops =
     ( "dot_rows",
       ( "t -> int -> int -> t -> int -> int -> t -> int -> int -> int",
         [ "a"; "aoff"; "ld"; "x"; "xoff"; "len"; "dst"; "lo"; "hi" ] ) );
-    ("sum", ("float array -> t -> int -> int -> int", [ "acc"; "x"; "xoff"; "len" ]));
-    ( "axpy_dot",
-      ( "float array -> t -> t -> t -> float array -> int -> int -> int",
-        [ "al"; "x"; "y"; "w"; "acc"; "lo"; "hi" ] ) ) ]
+    ("sum", ("float array -> t -> int -> int -> int", [ "acc"; "x"; "xoff"; "len" ])) ]
 
 let stub tr op = spf "mf_batch%d_%s" tr.t op
 
@@ -468,15 +423,7 @@ let emit_wrappers buf tr =
   bpf buf "    let acc = %s in\n" (fresh_comps tr "init");
   bpf buf "    let j = sum_c acc x xoff len in\n";
   bpf buf "    if j = len then %s\n" (of_comps tr "acc");
-  bpf buf "    else sum_ml ~init:(%s) ~x ~xoff:(xoff + j) ~len:(len - j)\n" (of_comps tr "acc");
-  bpf buf "\n  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
-  bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
-  bpf buf "    let acc = %s in\n" (fresh_comps tr "init");
-  bpf buf "    let j = axpy_dot_c (%s) x y w acc lo hi in\n" (comps tr "alpha");
-  bpf buf "    if j = hi then %s\n" (of_comps tr "acc");
-  bpf buf "    else axpy_dot_ml ~lo:j ~hi ~alpha ~x ~y ~w ~init:(%s)\n" (of_comps tr "acc")
+  bpf buf "    else sum_ml ~init:(%s) ~x ~xoff:(xoff + j) ~len:(len - j)\n" (of_comps tr "acc")
 
 let emit_tier buf tr =
   bpf buf "module %sv = struct\n" tr.mf;
@@ -532,10 +479,6 @@ let emit_tier buf tr =
   emit_sum buf tr;
   bpf buf "\n";
   emit_dot_rows buf tr;
-  bpf buf "\n";
-  emit_axpy_dot buf tr;
-  bpf buf "\n";
-  emit_transpose buf tr;
   bpf buf "\n";
   emit_wrappers buf tr;
   bpf buf "end\n"
@@ -594,37 +537,6 @@ external isa : unit -> string = "mf_batch_isa"
 (* The C compiler that built the C kernels, e.g. "gcc 12.2.0". *)
 external cc : unit -> string = "mf_batch_cc"
 
-(* Plane-level transpose helper shared by every vector size: dst is the
-   column-major image of an m*n row-major plane.  Blocked 32x32 so both
-   the gathered and scattered side stream through cache; pure float
-   loads/stores, no boxing. *)
-let transpose_plane ~m ~n src dst =
-  let bs = 32 in
-  let i0 = ref 0 in
-  while !i0 < m do
-    let ih = min m (!i0 + bs) in
-    let j0 = ref 0 in
-    while !j0 < n do
-      let jh = min n (!j0 + bs) in
-      for i = !i0 to ih - 1 do
-        for j = !j0 to jh - 1 do
-          F.unsafe_set dst ((j * m) + i) (F.unsafe_get src ((i * n) + j))
-        done
-      done;
-      j0 := jh
-    done;
-    i0 := ih
-  done
-
-let check_transpose name ~m ~n ~src_len ~dst_len same =
-  let fail what = invalid_arg (Printf.sprintf "%s: %s" name what) in
-  if m < 0 || n < 0 then fail (Printf.sprintf "negative dimensions m=%d n=%d" m n);
-  if src_len <> m * n then
-    fail (Printf.sprintf "src length %d, want m*n = %d" src_len (m * n));
-  if dst_len <> m * n then
-    fail (Printf.sprintf "dst length %d, want m*n = %d" dst_len (m * n));
-  if same then fail "src and dst alias"
-
 (* [dot_rows]' operands: rows [lo, hi) of [dst], each row of [a]
    ([len] elements from [aoff + i*ld]) and [x] ([len] from [xoff]). *)
 let check_rows name ~a_n ~aoff ~ld ~x_n ~xoff ~len ~dst_n ~lo ~hi =
@@ -639,7 +551,7 @@ let check_rows name ~a_n ~aoff ~ld ~x_n ~xoff ~len ~dst_n ~lo ~hi =
     [madd] computes [y.(yoff+i) <- add y.(yoff+i) (mul alpha
     x.(xoff+i))], and [dot] folds [acc <- add acc (mul x.(xoff+i)
     y.(yoff+i))] in index order starting from [init].  The fused
-    operations ([sum], [axpy_dot]) are staged compositions
+    operation [sum] is a staged composition
     of the same wire programs: one pass over the planes, bitwise equal
     to the unfused op-by-op composition. *)
 module type V = sig
@@ -702,20 +614,6 @@ module type V = sig
   (** [dst.(i) <- dot ~init:zero ~x:a ~xoff:(aoff + i*ld) ~y:x ~yoff:xoff
       ~len] for [lo <= i < hi]: the GEMV rows, [lanes] of them folded
       side by side, each bitwise its own [dot]. *)
-
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
-  (** Fused [axpy] + [dot]: stores [y.(i) <- add (mul alpha x.(i))
-      y.(i)] and folds [acc <- add acc (mul y.(i) w.(i))] in the same
-      pass over the planes, for [lo <= i < hi]; returns the fold
-      started from [init].  Bitwise [axpy] followed by
-      [dot ~x:y ~y:w]. *)
-
-  val transpose : m:int -> n:int -> src:t -> dst:t -> unit
-  (** [dst.(j*m+i) <- src.(i*n+j)] viewing [src] as an [m*n] row-major
-      matrix: the plane-wise matrix transpose (used by the tiled
-      runtime engine to pack [B^T] so GEMM columns become contiguous
-      dot operands).  [dst] must be a distinct vector of length
-      [m*n]. *)
 end
 
 (** A generated tier: the {!V} kernels run the C loops, and the [_ml]
@@ -734,8 +632,6 @@ module type TIER = sig
 
   val dot_rows_ml :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
-
-  val axpy_dot_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 |}
@@ -849,22 +745,6 @@ module Mf1v = struct
     for i = lo to hi - 1 do
       set dst i (dot_ml ~init:0.0 ~x:a ~xoff:(aoff + (i * ld)) ~y:x ~yoff:xoff ~len)
     done
-
-  let axpy_dot_ml ~lo ~hi ~alpha ~x ~y ~w ~init =
-    check2 "Batch.axpy_dot" x y;
-    check2 "Batch.axpy_dot" x w;
-    if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy_dot";
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      let t = (alpha *. F.unsafe_get x.c0 i) +. F.unsafe_get y.c0 i in
-      F.unsafe_set y.c0 i t;
-      acc := !acc +. (t *. F.unsafe_get w.c0 i)
-    done;
-    !acc
-
-  let transpose ~m ~n ~src ~dst =
-    check_transpose "Batch.transpose" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst);
-    transpose_plane ~m ~n src.c0 dst.c0
 
 |}
 
@@ -992,24 +872,6 @@ module Of_scalar (K : SCALAR) : V with type elt = K.t = struct
     for i = lo to hi - 1 do
       set dst i (dot ~init:K.zero ~x:a ~xoff:(aoff + (i * ld)) ~y:x ~yoff:xoff ~len)
     done
-
-  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =
-    check2 "Batch.axpy_dot" x y;
-    check2 "Batch.axpy_dot" x w;
-    if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy_dot";
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      let t = K.add (K.mul alpha (get x i)) (get y i) in
-      set y i t;
-      acc := K.add !acc (K.mul t (get w i))
-    done;
-    !acc
-
-  let transpose ~m ~n ~src ~dst =
-    check_transpose "Batch.transpose" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst);
-    for k = 0 to K.terms - 1 do
-      transpose_plane ~m ~n src.planes.(k) dst.planes.(k)
-    done
 end
 |}
 
@@ -1078,10 +940,8 @@ let c_acc_store buf tr =
     bpf buf "  Store_double_flat_field(acc, %d, acc%d);\n" k k
   done
 
-let c_block_bufs buf tr names =
-  bpf buf "  double %s;\n"
-    (String.concat ", "
-       (List.concat_map (fun b -> seq tr.t (fun k -> spf "%s%d[MF_BLOCK]" b k)) names))
+let c_block_buf buf tr name =
+  bpf buf "  double %s;\n" (cat ", " tr.t (fun k -> spf "%s%d[MF_BLOCK]" name k))
 
 let c_block_len buf ~indent ~hi =
   bpf buf "%sconst intnat m = %s - j < MF_BLOCK ? %s - j : MF_BLOCK;\n" indent hi hi
@@ -1090,31 +950,29 @@ let c_block_len buf ~indent ~hi =
 let c_shifted tr locals =
   String.concat ", " (List.concat_map (fun l -> seq tr.t (fun k -> spf "p%s%d + j" l k)) locals)
 
-let c_list tr names = String.concat ", " (List.concat_map (fun b -> seq tr.t (spf "%s%d" b)) names)
+let c_list tr name = cat ", " tr.t (spf "%s%d" name)
 
 (* A vectorizable block loop over [m] elements: loads [ins] (local,
    negate) through restrict-qualified plane pointers, runs [body], and
-   writes its output groups to the block buffers [outs].  With [~nan],
-   it also returns whether any output is a NaN. *)
-let emit_c_block buf tr ~fn ~alpha ~ins ~outs ~nan ~body =
+   writes its outputs to the block buffer [out].  With [~nan], it also
+   returns whether any output is a NaN. *)
+let emit_c_block buf tr ~fn ~alpha ~ins ~out ~nan ~body =
   let t = tr.t in
   bpf buf "MF_INLINE %s %s(intnat m%s, %s, %s)\n{\n"
     (if nan then "int" else "void")
     fn
     (if alpha then ", " ^ cjoin (spf "double %s") "al" t else "")
     (String.concat ", " (List.map (fun (l, _) -> restrict_in ("p" ^ l) t) ins))
-    (String.concat ", " (List.map (fun o -> restrict_out o t) outs));
+    (restrict_out out t);
   if nan then bpf buf "  int nan = 0;\n";
   bpf buf "  MF_IVDEP\n  for (intnat i = 0; i < m; i++) {\n";
   List.iter
     (fun (l, neg) -> c_loads buf ~indent:"    " ~local:l ~plane:("p" ^ l) ~idx:"i" t ~neg)
     ins;
-  let groups = body buf in
-  List.iter2
-    (fun o vals -> Array.iteri (fun k v -> bpf buf "    %s%d[i] = %s;\n" o k v) vals)
-    outs groups;
+  let vals = body buf in
+  Array.iteri (fun k v -> bpf buf "    %s%d[i] = %s;\n" out k v) vals;
   if nan then begin
-    bpf buf "    nan |= %s;\n" (nan_of (List.concat_map Array.to_list groups));
+    bpf buf "    nan |= %s;\n" (nan_of (Array.to_list vals));
     bpf buf "  }\n  return nan;\n}\n\n"
   end
   else bpf buf "  }\n}\n\n"
@@ -1128,21 +986,21 @@ let c_prog ~indent ~prefix prog args buf =
 let emit_c_elementwise buf tr ~op ~doc ~alpha ~ins ~out ~body =
   let t = tr.t in
   let fn = spf "mf%d_%s_block" t op in
-  emit_c_block buf tr ~fn ~alpha ~ins:(List.map (fun (l, _, _, neg) -> (l, neg)) ins) ~outs:[ "o" ]
-    ~nan:true ~body:(fun buf -> [ body buf ]);
+  emit_c_block buf tr ~fn ~alpha ~ins:(List.map (fun (l, _, _, neg) -> (l, neg)) ins) ~out:"o"
+    ~nan:true ~body;
   bpf buf "/* %s */\n%s\n{\n" doc (c_signature tr op);
   bpf buf "  const intnat end = Long_val(hi);\n";
   if alpha then c_alpha buf tr;
   List.iter (fun (l, v, off, _) -> c_planes buf tr ~local:l ~v ~off ~const:true) ins;
   (let v, off = out in
    c_planes buf tr ~local:"d" ~v ~off ~const:false);
-  c_block_bufs buf tr [ "o" ];
+  c_block_buf buf tr "o";
   bpf buf "  for (intnat j = Long_val(lo); j < end; j += MF_BLOCK) {\n";
   c_block_len buf ~indent:"    " ~hi:"end";
   bpf buf "    if (%s(m, %s%s, %s))\n      return Val_long(j);\n" fn
-    (if alpha then c_list tr [ "al" ] ^ ", " else "")
+    (if alpha then c_list tr "al" ^ ", " else "")
     (c_shifted tr (List.map (fun (l, _, _, _) -> l) ins))
-    (c_list tr [ "o" ]);
+    (c_list tr "o");
   for k = 0 to t - 1 do
     bpf buf "    for (intnat i = 0; i < m; i++) pd%d[j + i] = o%d[i];\n" k k
   done;
@@ -1151,9 +1009,8 @@ let emit_c_elementwise buf tr ~op ~doc ~alpha ~ins ~out ~body =
 let emit_c_dot buf tr =
   let t = tr.t in
   let fn = spf "mf%d_dot_stage" t in
-  emit_c_block buf tr ~fn ~alpha:false ~ins:[ ("x", false); ("y", false) ] ~outs:[ "sp" ]
-    ~nan:false ~body:(fun buf ->
-      [ c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "x" t; cn "y" t ] buf ]);
+  emit_c_block buf tr ~fn ~alpha:false ~ins:[ ("x", false); ("y", false) ] ~out:"sp"
+    ~nan:false ~body:(c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "x" t; cn "y" t ]);
   bpf buf
     "/* dot's loop: acc <- add(acc, mul(x[xoff+i], y[yoff+i])) for 0 <= i < len, the\n\
     \   products staged a block at a time, the fold serial.  Stops before the first\n\
@@ -1164,11 +1021,11 @@ let emit_c_dot buf tr =
   c_planes buf tr ~local:"x" ~v:"x" ~off:"Long_val(xoff)" ~const:true;
   c_planes buf tr ~local:"y" ~v:"y" ~off:"Long_val(yoff)" ~const:true;
   c_acc_load buf tr;
-  c_block_bufs buf tr [ "sp" ];
+  c_block_buf buf tr "sp";
   bpf buf "  intnat stop = n;\n";
   bpf buf "  for (intnat j = 0; j < n && stop == n; j += MF_BLOCK) {\n";
   c_block_len buf ~indent:"    " ~hi:"n";
-  bpf buf "    %s(m, %s, %s);\n" fn (c_shifted tr [ "x"; "y" ]) (c_list tr [ "sp" ]);
+  bpf buf "    %s(m, %s, %s);\n" fn (c_shifted tr [ "x"; "y" ]) (c_list tr "sp");
   bpf buf "    for (intnat i = 0; i < m; i++) {\n";
   c_loads buf ~indent:"      " ~local:"pv" ~plane:"sp" ~idx:"i" t ~neg:false;
   let q = c_prog ~indent:"      " ~prefix:"q" (add_prog t) [ cn "acc" t; cn "pv" t ] buf in
@@ -1272,50 +1129,6 @@ let emit_c_sum buf tr =
   c_acc_store buf tr;
   bpf buf "  return Val_long(i);\n}\n\n"
 
-let emit_c_axpy_dot buf tr =
-  let t = tr.t in
-  let fn = spf "mf%d_axpy_dot_stage" t in
-  emit_c_block buf tr ~fn ~alpha:true
-    ~ins:[ ("x", false); ("y", false); ("z", false) ]
-    ~outs:[ "sq"; "sr" ] ~nan:false
-    ~body:(fun buf ->
-      let p = c_prog ~indent:"    " ~prefix:"p" (mul_prog t) [ cn "al" t; cn "x" t ] buf in
-      let q = c_prog ~indent:"    " ~prefix:"q" (add_prog t) [ p; cn "y" t ] buf in
-      let r = c_prog ~indent:"    " ~prefix:"r" (mul_prog t) [ q; cn "z" t ] buf in
-      [ q; r ]);
-  bpf buf
-    "/* axpy_dot's loop: for lo <= i < hi, y[i] <- add(mul(alpha, x[i]), y[i]) and\n\
-    \   acc <- add(acc, mul(y[i], w[i])), w[i] read before y[i] is stored.  The\n\
-    \   updates are staged a block at a time, the fold serial.  Stops before the\n\
-    \   first step whose update or accumulator has a NaN, storing nothing for it;\n\
-    \   returns where it stopped, and acc holds the accumulator there. */\n";
-  bpf buf "%s\n{\n" (c_signature tr "axpy_dot");
-  bpf buf "  const intnat end = Long_val(hi);\n";
-  c_alpha buf tr;
-  c_planes buf tr ~local:"x" ~v:"x" ~off:"" ~const:true;
-  c_planes buf tr ~local:"y" ~v:"y" ~off:"" ~const:false;
-  c_planes buf tr ~local:"z" ~v:"w" ~off:"" ~const:true;
-  c_acc_load buf tr;
-  c_block_bufs buf tr [ "sq"; "sr" ];
-  bpf buf "  intnat stop = end;\n";
-  bpf buf "  for (intnat j = Long_val(lo); j < end && stop == end; j += MF_BLOCK) {\n";
-  c_block_len buf ~indent:"    " ~hi:"end";
-  bpf buf "    %s(m, %s, %s, %s);\n" fn (c_list tr [ "al" ]) (c_shifted tr [ "x"; "y"; "z" ])
-    (c_list tr [ "sq"; "sr" ]);
-  bpf buf "    for (intnat i = 0; i < m; i++) {\n";
-  c_loads buf ~indent:"      " ~local:"qv" ~plane:"sq" ~idx:"i" t ~neg:false;
-  c_loads buf ~indent:"      " ~local:"rv" ~plane:"sr" ~idx:"i" t ~neg:false;
-  let s = c_prog ~indent:"      " ~prefix:"s" (add_prog t) [ cn "acc" t; cn "rv" t ] buf in
-  bpf buf "      if (%s) {\n        stop = j + i;\n        break;\n      }\n"
-    (nan_of (Array.to_list (cn "qv" t) @ Array.to_list s));
-  for k = 0 to t - 1 do
-    bpf buf "      py%d[j + i] = qv%d;\n" k k
-  done;
-  Array.iteri (fun k v -> bpf buf "      acc%d = %s;\n" k v) s;
-  bpf buf "    }\n  }\n";
-  c_acc_store buf tr;
-  bpf buf "  return Val_long(stop);\n}\n\n"
-
 let emit_c_bytecode buf tr =
   List.iter
     (fun (op, (_, params)) ->
@@ -1362,7 +1175,6 @@ let emit_c_tier buf tr =
   emit_c_dot buf tr;
   emit_c_dot_rows buf tr;
   emit_c_sum buf tr;
-  emit_c_axpy_dot buf tr;
   emit_c_bytecode buf tr
 
 let c_header =

@@ -80,19 +80,6 @@ let sum_step t =
     [ { prog = Front.add_kernel t; args = app (args 0 t) (args t t) } ]
     ~outputs:(Array.to_list (outs 0 t))
 
-(* The fused axpy+dot loop body: y' = alpha*x + y stored back, and
-   acc' = acc + y'*w accumulated, in one pass.
-   Inputs: alpha @ x @ y @ w @ acc (5t); outputs: y' @ acc' (2t). *)
-let axpy_dot_step t =
-  compose ~name:(Printf.sprintf "axpy_dot_step[mf%d]" t) ~num_inputs:(5 * t)
-    [
-      { prog = Front.mul_kernel t; args = app (args 0 t) (args t t) };
-      { prog = Front.add_kernel t; args = app (outs 0 t) (args (2 * t) t) };
-      { prog = Front.mul_kernel t; args = app (outs 1 t) (args (3 * t) t) };
-      { prog = Front.add_kernel t; args = app (args (4 * t) t) (outs 2 t) };
-    ]
-    ~outputs:(Array.to_list (app (outs 1 t) (outs 3 t)))
-
 (* Named chains for [fpan_tool fuse --dump] and the tests. *)
 let chains : (string * (int -> Ir.t)) list =
   [
@@ -103,7 +90,6 @@ let chains : (string * (int -> Ir.t)) list =
     ("madd", madd);
     ("dot_step", dot_step);
     ("sum_step", sum_step);
-    ("axpy_dot_step", axpy_dot_step);
   ]
 
 let chain name t =

@@ -115,21 +115,6 @@ module type V = sig
       payloads match too.
       A [dst] that is also [a] or [x] runs row by row, each row's store
       visible to the rows after it. *)
-
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
-  (** Fused [axpy] + [dot]: stores [y.(i) <- add (mul alpha x.(i))
-      y.(i)] and folds [acc <- add acc (mul y.(i) w.(i))] in the same
-      pass over the planes, for [lo <= i < hi]; returns the fold
-      started from [init].  Bitwise equal to [axpy] followed by
-      [dot ~x:y ~y:w] over the same range. *)
-
-  val transpose : m:int -> n:int -> src:t -> dst:t -> unit
-  (** [dst.(j*m+i) <- src.(i*n+j)] viewing [src] as an [m*n] row-major
-      matrix: the plane-wise matrix transpose, blocked for cache (the
-      panel-packing primitive that turns matrix columns into contiguous
-      planar rows, e.g. for [B^T]-packed dot micro-kernels).  [dst]
-      must be a distinct vector; both lengths must be [m*n]
-      ([Invalid_argument] otherwise). *)
 end
 
 (** A generated tier: the {!V} kernels run the C loops, and the [_ml]
@@ -150,8 +135,6 @@ module type TIER = sig
   val dot_rows_ml :
     a:t -> aoff:int -> ld:int -> x:t -> xoff:int -> len:int -> dst:t -> lo:int -> hi:int -> unit
   (** The per-row [dot_ml] loop. *)
-
-  val axpy_dot_ml : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 module Mf1v : TIER with type elt = float

@@ -11,7 +11,7 @@ let cpu () =
              | _ -> None))
 
 (* HEAD read from .git directly: a loose ref, else packed-refs *)
-let git_rev () =
+let head_rev () =
   let ( let* ) = Option.bind in
   let* head = Option.map String.trim (read ".git/HEAD") in
   if not (String.starts_with ~prefix:"ref: " head) then Some head
@@ -26,6 +26,15 @@ let git_rev () =
                match String.split_on_char ' ' line with
                | [ h; name ] when name = r -> Some h
                | _ -> None)
+
+(* HEAD, plus "-dirty" when a tracked file differs from it: [git diff
+   --quiet] exits 1 exactly then, and any other status (git missing,
+   not a repository) keeps the bare sha *)
+let git_rev () =
+  Option.map
+    (fun sha ->
+      if Sys.command "git diff --quiet HEAD -- 2>/dev/null" = 1 then sha ^ "-dirty" else sha)
+    (head_rev ())
 
 let json ~isa ~cc =
   Json_out.Obj

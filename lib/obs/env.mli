@@ -7,5 +7,6 @@ val json : isa:string -> cc:string -> Json_out.t
     whether the compiler has flambda, the C compiler that built the
     planar C kernels and the SIMD clone they run ([cc] and [isa], from
     [Multifloat.Batch.cc] and [Multifloat.Batch.isa]) and the HEAD commit
-    read from [.git] in the working directory ("unknown" where any of
-    them cannot be read). *)
+    read from [.git] in the working directory, suffixed ["-dirty"] when
+    [git diff] finds tracked files changed against it ("unknown" where
+    any of them cannot be read). *)

@@ -133,9 +133,9 @@ struct
         V.axpy ~lo:0 ~hi:n ~alpha:(elt r.y.(0)) ~x:vx ~y:vy;
         Array.init n (fun i -> comps (V.get vy i))
     | P.Program -> (
-        (* each chain runs as ONE fused wire-program kernel; the fused
-           gate sequence is the op-by-op composition's by construction,
-           so results match eval_one bitwise *)
+        (* each chain runs as planar kernels whose gate sequence is the
+           op-by-op composition's ([axpy;dot] as [axpy], then [dot] over
+           the updated [y]), so results match eval_one bitwise *)
         match r.prog with
         | [ "sum" ] ->
             let n = Array.length r.x in
@@ -160,7 +160,8 @@ struct
               V.set vy i (elt r.y.(i + 1));
               V.set vz i (elt r.z.(i))
             done;
-            let acc = V.axpy_dot ~lo:0 ~hi:n ~alpha:(elt r.y.(0)) ~x:vx ~y:vy ~w:vz ~init:M.zero in
+            V.axpy ~lo:0 ~hi:n ~alpha:(elt r.y.(0)) ~x:vx ~y:vy;
+            let acc = V.dot ~init:M.zero ~x:vy ~xoff:0 ~y:vz ~yoff:0 ~len:n in
             Array.append [| comps acc |] (Array.init n (fun i -> comps (V.get vy i)))
         | _ -> eval_one r)
     | _ -> eval_one r

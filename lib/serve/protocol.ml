@@ -45,11 +45,11 @@ let arity = function
   | Sqrt | Exp | Log | Sin | Sum -> 1
   | Add | Mul | Div | Dot | Axpy | Poly_eval | Program -> 2
 
-(* The fused multi-op chains a [Program] request may name: each is a
-   Fuse.chain whose single-pass kernel is bitwise the op-by-op
-   composition.  ["mul"; "sum"] is elementwise mul then sum (the
-   unfused spelling of DOT); ["axpy"; "dot"] updates y in place and
-   dots it against z; ["sum"] is the plain fold (a 1-gate program). *)
+(* The multi-op chains a [Program] request may name: each is served
+   by planar kernels bitwise the op-by-op composition.  ["mul"; "sum"]
+   is elementwise mul then sum (the unfused spelling of DOT);
+   ["axpy"; "dot"] updates y in place and dots it against z; ["sum"]
+   is the plain fold (a 1-gate program). *)
 let programs = [ [ "sum" ]; [ "mul"; "sum" ]; [ "axpy"; "dot" ] ]
 
 let program_name chain = String.concat ";" chain

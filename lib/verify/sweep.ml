@@ -133,7 +133,6 @@ let chain_slots =
     ("madd", (3, 0));
     ("dot_step", (3, 1));
     ("sum_step", (2, 0));
-    ("axpy_dot_step", (5, 0));
   ]
 
 let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
@@ -160,14 +159,12 @@ let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
 (* Footprint bound                                                     *)
 
 (* Highest multiplicative depth of any value the target computes:
-   1 for pure sums, 2 with one product layer, 3 for axpy_dot_step's
-   product of an already-multiplied intermediate. *)
+   1 for pure sums, 2 with one product layer. *)
 let degree = function
   | Add_network -> 1
   | Mul_network -> 2
   | Chain ("add" | "sub" | "sum_step") -> 1
-  | Chain ("mul" | "dot_step" | "axpy" | "madd") -> 2
-  | Chain _ -> 3
+  | Chain _ -> 2
 
 let ceil_log2 n =
   let rec go b v = if v >= n then b else go (b + 1) (v * 2) in
@@ -258,11 +255,6 @@ let scalar_reference spec ~round : float array -> float array =
       | "dot_step" -> fun buf -> radd (sub buf 0) (rmul (sub buf t) (sub buf (2 * t)))
       | "axpy" -> fun buf -> radd (rmul (sub buf 0) (sub buf t)) (sub buf (2 * t))
       | "madd" -> fun buf -> radd (sub buf (2 * t)) (rmul (sub buf 0) (sub buf t))
-      | "axpy_dot_step" ->
-          fun buf ->
-            let y' = radd (rmul (sub buf 0) (sub buf t)) (sub buf (2 * t)) in
-            let acc' = radd (sub buf (4 * t)) (rmul y' (sub buf (3 * t))) in
-            Array.append y' acc'
       | other -> invalid_arg (Printf.sprintf "Verify.Sweep: no scalar reference for %S" other))
 
 (* ------------------------------------------------------------------ *)

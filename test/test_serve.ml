@@ -283,13 +283,23 @@ let requests_for_op ~tier ~op ~first_id =
             ~x:(Array.sub (Array.map fst ops) 0 8)
             ~y:[| snd ops.(1) |] () ]
     | P.Program ->
-        (* one request per fused chain, over the same corpus operands *)
+        (* one request per chain, over the same corpus operands, and an
+           axpy;dot across three 64-element C blocks whose x holds a NaN
+           payload at index 64, so the axpy block and the dot fold both
+           fall back to their OCaml loops mid-request.  Its operands are
+           moderate, so the fold is finite until that payload. *)
         let xs = Array.map fst ops and ys = Array.map snd ops in
+        let el k = Array.init terms (fun j -> Float.ldexp (1.0 +. float_of_int (k mod 17)) (-60 * j)) in
+        let lx = Array.init 130 el and ly = Array.init 130 (fun k -> el (k + 5)) in
+        lx.(64).(0) <- Int64.float_of_bits 0x7ff8000000000badL;
         [ mk_req ~id:first_id ~op ~tier ~prog:[ "sum" ] ~x:xs ~y:[||] ();
           mk_req ~id:(first_id + 1) ~op ~tier ~prog:[ "mul"; "sum" ] ~x:xs ~y:ys ();
           mk_req ~id:(first_id + 2) ~op ~tier ~prog:[ "axpy"; "dot" ] ~x:xs
             ~y:(Array.append [| fst ops.(0) |] ys)
-            ~z:xs () ]
+            ~z:xs ();
+          mk_req ~id:(first_id + 3) ~op ~tier ~prog:[ "axpy"; "dot" ] ~x:lx
+            ~y:(Array.append [| el 3 |] ly)
+            ~z:ly () ]
     | P.Stats -> []
   in
   (reqs, first_id + List.length reqs)
